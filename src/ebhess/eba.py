@@ -9,22 +9,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ebh import BlockStore
 from .errors import Breakdown, DimensionMismatch
 
 
 @dataclass
-class OrthoBasis:
-    """Jointly orthonormal blocks U_1..U_{2m+2} with the projected matrix."""
+class OrthoBasis(BlockStore):
+    """Jointly orthonormal blocks U_1..U_{2m+2} with the projected matrix.
+
+    ``store`` holds the blocks; ``blocks`` and ``matrix()`` are read-only
+    views of it (see :class:`BlockStore`).
+    """
 
     n: int
     p: int
     m: int
-    blocks: list = field(repr=False)
+    store: np.ndarray = field(repr=False)
     T_arnoldi: np.ndarray = field(repr=False)
     lambda11: np.ndarray = field(repr=False)
-
-    def matrix(self, k_blocks):
-        return np.hstack(self.blocks[:k_blocks])
 
 
 def _qr_normalize(W, step, rank_tol=1e-13):
@@ -56,27 +58,32 @@ def eba_run(A, V, m):
         raise DimensionMismatch("need at least one step")
 
     U1, lam11 = _qr_normalize(V, 1)
-    blocks = [U1]
+    store = np.empty((n, (2 * m + 2) * p), order="F")
 
-    def orthogonalize(W, step):
+    def block(k):
+        return store[:, k * p : (k + 1) * p]
+
+    def extend(k, W):
+        # Orthogonalize W against blocks 0..k-1 and store it as block k.
         raw_scale = np.abs(W).max(initial=0.0)
-        Ub = np.hstack(blocks)
+        Ub = store[:, : k * p]
         W = W - Ub @ (Ub.T @ W)
         W = W - Ub @ (Ub.T @ W)  # one full reorthogonalization pass
         if np.abs(W).max(initial=0.0) <= 1e-13 * raw_scale:
-            raise Breakdown(step)
-        Q, _ = _qr_normalize(W, step)
-        return Q
+            raise Breakdown(k + 1)
+        Q, _ = _qr_normalize(W, k + 1)
+        block(k)[...] = Q
 
-    blocks.append(orthogonalize(A.solve(V), 2))
+    block(0)[...] = U1
+    extend(1, A.solve(V))
     for j in range(1, m + 1):
-        blocks.append(orthogonalize(A.apply(blocks[2 * j - 2]), 2 * j + 1))
-        blocks.append(orthogonalize(A.solve(blocks[2 * j - 1]), 2 * j + 2))
+        extend(2 * j, A.apply(block(2 * j - 2)))
+        extend(2 * j + 1, A.solve(block(2 * j - 1)))
 
-    Ub = np.hstack(blocks[: 2 * m])
+    Ub = store[:, : 2 * m * p]
     T = Ub.T @ A.apply(Ub)
     _mask_hessenberg(T, p)
-    return OrthoBasis(n, p, m, blocks, T, lam11)
+    return OrthoBasis(n, p, m, store, T, lam11)
 
 
 def _mask_hessenberg(T, p):

@@ -16,42 +16,53 @@ from .dense import pivot_block_solve, plu_factor
 from .errors import Breakdown, DimensionMismatch, RankDeficient, SingularCoefficient
 
 
+class BlockStore:
+    """Basis blocks side by side in one Fortran-ordered ``store``.
+
+    For the basis dataclasses, which define ``store`` and ``p``: the store is
+    made read-only on construction, and ``blocks[k]`` (the (k+1)-th n-by-p
+    block) and ``matrix(k)`` are read-only views of it, so neither copies
+    the basis.
+    """
+
+    def __post_init__(self):
+        self.store.flags.writeable = False
+        p = self.p
+        self.blocks = [self.store[:, k * p : (k + 1) * p] for k in range(self.store.shape[1] // p)]
+
+    def matrix(self, k_blocks):
+        """The first ``k_blocks`` blocks side by side (n x k_blocks*p), as a view."""
+        return self.store[:, : k_blocks * self.p]
+
+
 @dataclass
-class ExtendedBasis:
+class ExtendedBasis(BlockStore):
     """Basis blocks, pivot sets and recursion coefficients from :func:`ebha_run`.
 
-    ``blocks[k]`` is the (k+1)-th n-by-p basis block; ``pivot_sets[k]`` holds
-    the p rows where it carries its unit lower triangle.  ``H`` maps 1-based
-    block index pairs (i, j) to the p-by-p recursion coefficients; ``gamma11``,
-    ``gamma12``, ``gamma22`` are the startup coefficients tying the first two
-    blocks to V and A^{-1}V.
+    ``store`` holds the 2m+2 basis blocks; ``blocks`` and ``matrix()`` are
+    read-only views of it (see :class:`BlockStore`).  ``pivot_sets[k]``
+    holds the p rows where ``blocks[k]`` carries its unit lower triangle.
+    ``H`` maps 1-based block index pairs (i, j) to the p-by-p recursion
+    coefficients; ``gamma11``, ``gamma12``, ``gamma22`` are the startup
+    coefficients tying the first two blocks to V and A^{-1}V.
     """
 
     n: int
     p: int
     m: int
-    blocks: list = field(repr=False)
+    store: np.ndarray = field(repr=False)
     pivot_sets: list = field(repr=False)
     H: dict = field(repr=False)
     gamma11: np.ndarray = field(repr=False)
     gamma12: np.ndarray = field(repr=False)
     gamma22: np.ndarray = field(repr=False)
 
-    def matrix(self, k_blocks):
-        """The first ``k_blocks`` blocks side by side (n x k_blocks*p)."""
-        return np.hstack(self.blocks[:k_blocks])
-
     def pivot_rows(self, k_blocks):
         return np.concatenate(self.pivot_sets[:k_blocks])
 
     def lower_factor(self, k_blocks):
         """Pivot-row submatrix of the basis: unit lower triangular by construction."""
-        return np.vstack(
-            [
-                np.hstack([self.blocks[j][self.pivot_sets[k], :] for j in range(k_blocks)])
-                for k in range(k_blocks)
-            ]
-        )
+        return self.matrix(k_blocks)[self.pivot_rows(k_blocks), :]
 
 
 @dataclass
@@ -131,20 +142,29 @@ def ebha_run(A, V, m, *, joint_start=False, reorthogonalize=False):
         used[f.pivot_rows] = True
         return f.permuted_unit_lower, f.upper, f.pivot_rows
 
+    store = np.empty((n, (2 * m + 2) * p), order="F")
+    blocks, pivots = [], []
+
+    def append(Vn, pn):
+        k = len(blocks)
+        block = store[:, k * p : (k + 1) * p]
+        block[...] = Vn
+        blocks.append(block)
+        pivots.append(pn)
+
     if joint_start:
         PL, G, piv = normalize(np.hstack([V, A.solve(V)]), 2)
-        V1, V2 = PL[:, :p].copy(), PL[:, p:].copy()
         g11, g12, g22 = G[:p, :p], G[:p, p:], G[p:, p:]
-        pivots = [piv[:p], piv[p:]]
-        blocks = [V1, V2]
+        append(PL[:, :p], piv[:p])
+        append(PL[:, p:], piv[p:])
     else:
         V1, g11, p1 = normalize(V, 1)
+        append(V1, p1)
         AinvV = A.solve(V)
         g12 = pivot_block_solve(V1, p1, AinvV)
         Vt2 = AinvV - V1 @ g12
         V2, g22, p2 = normalize(Vt2, 2, np.abs(AinvV).max())
-        blocks = [V1, V2]
-        pivots = [p1, p2]
+        append(V2, p2)
 
     H = {}
 
@@ -165,17 +185,15 @@ def ebha_run(A, V, m, *, joint_start=False, reorthogonalize=False):
         W = project(raw, 2 * j - 1, 2 * j)
         Vn, Hn, pn = normalize(W, 2 * j + 1, np.abs(raw).max())
         H[(2 * j + 1, 2 * j - 1)] = Hn
-        blocks.append(Vn)
-        pivots.append(pn)
+        append(Vn, pn)
 
         raw = A.solve(blocks[2 * j - 1])
         W = project(raw, 2 * j, 2 * j + 1)
         Vn, Hn, pn = normalize(W, 2 * j + 2, np.abs(raw).max())
         H[(2 * j + 2, 2 * j)] = Hn
-        blocks.append(Vn)
-        pivots.append(pn)
+        append(Vn, pn)
 
-    return ExtendedBasis(n, p, m, blocks, pivots, H, g11, g12, g22)
+    return ExtendedBasis(n, p, m, store, pivots, H, g11, g12, g22)
 
 
 def left_apply(basis, W, k_blocks):

@@ -148,6 +148,11 @@ def sqrtm(M):
     """Principal matrix square root by the Denman-Beavers iteration."""
     M = _square(M, "sqrtm")
     _check_branch(M, "sqrtm")
+    return _sqrtm_db(M)
+
+
+def _sqrtm_db(M):
+    # Denman-Beavers iteration on a matrix already cleared of the branch cut.
     X = M.copy()
     Y = np.eye(M.shape[0])
     for _ in range(100):
@@ -167,14 +172,15 @@ def logm(M):
 
     Square roots are taken until the iterate is close to the identity, the
     small logarithm is summed from its alternating series, and the result is
-    scaled back.
+    scaled back.  The branch cut is checked once, on M: the principal square
+    root of a matrix clear of the cut is clear of it too.
     """
     M = _square(M, "logm")
     _check_branch(M, "logm")
     X = M.copy()
     s = 0
     while np.linalg.norm(X - np.eye(X.shape[0])) > 0.3 and s < 60:
-        X = sqrtm(X)
+        X = _sqrtm_db(X)
         s += 1
     E = X - np.eye(X.shape[0])
     term = E.copy()
@@ -195,7 +201,10 @@ def _funm_eig(fn, M, what):
         raise IllConditionedEigenbasis(
             f"{what}: eigenvector basis condition {cond:.3e} exceeds {EIGENBASIS_COND_LIMIT:.0e}"
         )
-    F = (X * fn(w)) @ np.linalg.inv(X)
+    with np.errstate(all="ignore"):  # overflow becomes our typed error below
+        F = (X * fn(w)) @ np.linalg.inv(X)
+    if not np.isfinite(F).all():
+        raise Overflow(f"{what}: result is not finite")
     return F.real if np.isrealobj(M) else F
 
 

@@ -4,9 +4,13 @@ One basis per cycle serves every shift: each unconverged shift solves its
 own small reduced system, the residual norm comes from the trailing-block
 formula without touching A, converged shifts are deflated, and the next
 cycle restarts from the (2m+1)-th basis block, which carries every residual.
+
+The per-shift work is only a pivoted LU (LAPACK getrf/getrs, the routines
+behind ``scipy.linalg.lu_factor``/``lu_solve``) of the small shifted matrix.
+The reduced solutions are collected in chunks and lifted back to X with one
+product per chunk, so no per-shift product with the n-row basis is formed.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +25,10 @@ from .errors import (
     RankDeficient,
     ReducedSystemSingular,
 )
+
+# Byte budget of the (n, c*p) buffer that lifts the reduced solutions of c
+# shifts with one product; c is at least 1 whatever n is.
+_LIFT_BUFFER_BYTES = 1 << 20
 
 
 @dataclass
@@ -96,6 +104,13 @@ def solve_shifted(problem, observer=None):
     converged shifts, and restart from the (2m+1)-th block with the reduced
     residual coordinates as the new right-hand sides.
 
+    Each reduced system is factored with partial pivoting by LAPACK getrf in
+    one reused buffer and solved by getrs.  The solutions Y are gathered in
+    chunks of as many shifts as fit an (n, c*p) buffer of about 1 MB (at
+    least one shift), and each chunk updates X, the residual coordinates and
+    the residual norms with one product against the basis, ``tau`` and the R
+    factor of the next seed.
+
     A shift whose reduced system is singular skips the cycle and is retried
     on the next basis with its residual reduced explicitly.  ``observer``,
     when given, is called with a :class:`CycleRecord` after every cycle.
@@ -128,7 +143,13 @@ def solve_shifted(problem, observer=None):
         _invariant_subspace_solve(problem, state, seed, None)
         return state
 
-    I2mp = np.eye(2 * m * p)
+    N = 2 * m * p
+    chunk = max(1, _LIFT_BUFFER_BYTES // (8 * n * p))
+    Ybuf = np.empty((N, chunk * p), order="F")
+    lifted = np.empty(n * chunk * p)
+    shifted_T = np.empty((N, N), order="F")
+    diag = np.arange(N)
+    singular_tol = np.finfo(float).eps * N
     while True:
         active = np.where(~state.converged)[0]
         if len(active) == 0:
@@ -154,21 +175,27 @@ def solve_shifted(problem, observer=None):
         proj = build_T(basis)
         Vb = basis.matrix(2 * m)
         next_seed = basis.blocks[2 * m]
+        # ||next_seed @ beta||_F = ||R @ beta||_F for next_seed = Q R.
+        R_next = np.linalg.qr(next_seed, mode="r")
+        T = np.asfortranarray(proj.T)
+        T_diag = np.diag(proj.T)
+        getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (T,))
         g11 = basis.gamma11
 
         Yrec, Rrec = {}, {}
+        done = []      # (index, residual) of every shift solved this cycle
+        pending = []   # in-frame shifts whose Y fills the leading columns of Ybuf
         for k in active:
             if in_frame[k]:
-                rhs = np.zeros((2 * m * p, p))
+                rhs = np.zeros((N, p))
                 rhs[:p] = g11 @ state.beta0[k]
             else:
                 rhs = left_apply(basis, stalled_resid[k], 2 * m)
-            reduced = proj.T + sigmas[k] * I2mp
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # exact singularity handled below
-                lu, piv = sla.lu_factor(reduced)
+            shifted_T[...] = T
+            shifted_T[diag, diag] = T_diag + sigmas[k]
+            lu, piv, info = getrf(shifted_T, overwrite_a=True)
             d = np.abs(np.diag(lu))
-            if d.min() <= np.finfo(float).eps * d.max() * reduced.shape[0]:
+            if info > 0 or d.min() <= singular_tol * d.max():
                 # sigma hit a Ritz value; freeze this shift's residual
                 # (R = seed @ beta0 in the seed frame) and retry against the
                 # next cycle's basis.
@@ -177,27 +204,33 @@ def solve_shifted(problem, observer=None):
                     in_frame[k] = False
                 state.residual_history[k].append(np.inf)
                 continue
-            Y = sla.lu_solve((lu, piv), rhs)
-            beta_next = -proj.tau @ Y[-2 * p :, :]
-            if in_frame[k]:
-                state.X[k] += Vb @ Y
-                state.beta0[k] = beta_next
-                res = float(np.linalg.norm(next_seed @ beta_next))
-            else:
-                # Off-frame update: the residual formula does not apply, so
-                # measure directly, and accept the step only if it helps (a
-                # stalled shift can sit on an indefinite shifted operator,
-                # where a Galerkin step may grow the residual without bound).
-                W = Vb @ Y
-                R = stalled_resid[k] - (A.apply(W) + sigmas[k] * W)
-                res = float(np.linalg.norm(R))
-                if res < np.linalg.norm(stalled_resid[k]):
-                    state.X[k] += W
-                    stalled_resid[k] = R
-                else:
-                    res = float(np.linalg.norm(stalled_resid[k]))
-            state.residual_history[k].append(res)
+            Y, _ = getrs(lu, piv, rhs)
             Yrec[k] = Y
+            if in_frame[k]:
+                Ybuf[:, len(pending) * p : (len(pending) + 1) * p] = Y
+                pending.append(k)
+                if len(pending) == chunk:
+                    done += _lift(state, pending, Ybuf, lifted, Vb, proj.tau, R_next)
+                    pending = []
+                continue
+            # Off-frame update: the residual formula does not apply, so
+            # measure directly, and accept the step only if it helps (a
+            # stalled shift can sit on an indefinite shifted operator,
+            # where a Galerkin step may grow the residual without bound).
+            W = Vb @ Y
+            R = stalled_resid[k] - (A.apply(W) + sigmas[k] * W)
+            res = float(np.linalg.norm(R))
+            if res < np.linalg.norm(stalled_resid[k]):
+                state.X[k] += W
+                stalled_resid[k] = R
+            else:
+                res = float(np.linalg.norm(stalled_resid[k]))
+            done.append((k, res))
+        if pending:
+            done += _lift(state, pending, Ybuf, lifted, Vb, proj.tau, R_next)
+
+        for k, res in done:
+            state.residual_history[k].append(res)
             Rrec[k] = res
             if res < problem.eps:
                 state.converged[k] = True
@@ -209,6 +242,27 @@ def solve_shifted(problem, observer=None):
                 CycleRecord(state.restart_count, basis, proj, active, Yrec, Rrec, state)
             )
         seed = next_seed
+
+
+def _lift(state, ks, Ybuf, lifted, Vb, tau, R_next):
+    """Add Vb @ Y_k to X[k] for the in-frame shifts ``ks``, whose reduced
+    solutions fill the leading columns of ``Ybuf``, with one product for all
+    of them; store their next residual coordinates beta_k = -tau Y_k[-2p:].
+
+    Returns ``(k, ||next_seed beta_k||_F)`` pairs.
+    """
+    p = tau.shape[0]
+    cols = len(ks) * p
+    Y = Ybuf[:, :cols]
+    # With OpenBLAS a C-ordered product matches the per-shift Vb @ Y_k bit
+    # for bit; a Fortran-ordered one rounds differently.
+    VY = np.matmul(Vb, Y, out=lifted[: Vb.shape[0] * cols].reshape(-1, cols))
+    beta = -tau @ Y[-2 * p :]
+    res = np.linalg.norm((R_next @ beta).reshape(p, len(ks), p), axis=(0, 2))
+    for j, k in enumerate(ks):
+        state.X[k] += VY[:, j * p : (j + 1) * p]
+        state.beta0[k] = beta[:, j * p : (j + 1) * p]
+    return [(k, float(r)) for k, r in zip(ks, res)]
 
 
 def _invariant_subspace_solve(problem, state, seed, original):

@@ -18,7 +18,7 @@ from ebhess import (
     mf_ebh,
     reference_matfun,
 )
-from ebhess.errors import AssumptionViolated, DimensionMismatch
+from ebhess.errors import AssumptionViolated, DimensionMismatch, Overflow
 from _util import dissipative_operator, random_block, random_sparse_operator
 
 FIVE = [FunctionSpec.from_name(t) for t in ("exp", "sqrt", "expnegsqrt", "log", "expinvx")]
@@ -31,6 +31,14 @@ class TestMfEbh:
         res = mf_ebh(A, V, 2, FunctionSpec.laurent({1: 1.0}))
         want = A.apply(V)
         assert np.linalg.norm(res.approximation - want) <= 1e-8 * np.linalg.norm(want)
+
+    def test_overflowing_projection_raises(self):
+        # The projected T of this SPD operator gets an eigenvalue near -4.8e5,
+        # where exp(-x)/x overflows: a typed error, not an all-NaN result.
+        A = gallery(GallerySpec("tridiag_scaled", 5000))
+        V = np.random.default_rng(7).random((5000, 5))
+        with pytest.raises(Overflow):
+            mf_ebh(A, V, 20, FunctionSpec.exp_neg_over_x())
 
     def test_resolvent_at_zero_is_solve(self):
         A = random_sparse_operator(60, 1)

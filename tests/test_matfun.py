@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
+from ebhess import matfun
 from ebhess import FactorizedOperator, FunctionSpec, expm, funm, laurent_apply, logm, sqrtm
 from ebhess.errors import BranchCutViolation, IllConditionedEigenbasis, Overflow
 
@@ -63,6 +64,24 @@ class TestSqrtmLogm:
             with pytest.raises(BranchCutViolation):
                 funm(spec, np.diag([-1.0, 2.0]))
 
+    def test_logm_checks_branch_once(self, monkeypatch):
+        # The square roots inside logm act on matrices already clear of the
+        # cut; only the argument itself is checked.
+        calls = []
+        check = matfun._check_branch
+
+        def counted(M, what):
+            calls.append(what)
+            return check(M, what)
+
+        monkeypatch.setattr(matfun, "_check_branch", counted)
+        rng = np.random.default_rng(5)
+        B = rng.standard_normal((6, 6))
+        logm(B @ B.T + 40 * np.eye(6))  # needs several square roots
+        assert calls == ["logm"]
+        sqrtm(np.diag([4.0, 9.0]))
+        assert calls == ["logm", "sqrtm"]
+
 
 class TestFunm:
     def test_resolvent_diag(self):
@@ -80,6 +99,11 @@ class TestFunm:
     def test_exp_neg_over_x_diag(self):
         got = funm(FunctionSpec.exp_neg_over_x(), np.diag([1.0, 2.0]))
         assert_allclose(got, np.diag([np.exp(-1.0), np.exp(-2.0) / 2.0]), atol=1e-12)
+
+    def test_non_finite_result_is_overflow(self):
+        # exp(800)/(-800) overflows; the eigen path must not return inf/nan.
+        with pytest.raises(Overflow):
+            funm(FunctionSpec.exp_neg_over_x(), np.diag([-800.0, 1.0]))
 
     def test_exp_neg_over_x_pole_guard(self):
         with pytest.raises(BranchCutViolation):

@@ -11,6 +11,7 @@ from ebhess import (
     residual_direct,
     solve_shifted,
 )
+from ebhess import shifted
 from ebhess.errors import NotConverged
 from _util import random_block, random_sparse_operator
 
@@ -149,6 +150,50 @@ class TestSolveShifted:
         assert residual_direct(A, C, 0.1, state.X[1]) <= 5e-9
         if stalled_converged:
             assert residual_direct(A, C, sigma, state.X[0]) <= 1e-8
+
+    def test_chunked_lift_matches_per_shift_solves(self, monkeypatch):
+        # Three shifts per lift chunk, eleven shifts, and one singular shift
+        # in the middle of the second chunk: the chunks then hold shifts
+        # {0,1,2}, {3,5,6}, {7,8,9} and, in the flush after the loop, {10}.
+        n, p, m = 80, 2, 2
+        A = random_sparse_operator(n, 11)
+        C = random_block(n, p, 11)
+        monkeypatch.setattr(shifted, "_LIFT_BUFFER_BYTES", 3 * 8 * n * p)
+        T = build_T(ebha_run(A, C, m)).T
+        ritz = np.linalg.eigvals(T)
+        sigmas = np.linspace(0.0, 2.0, 11)
+        sigmas[4] = -float(ritz[np.abs(ritz.imag) < 1e-12].real[0])
+        records, first = [], {}
+
+        def observer(rec):
+            records.append(rec)
+            if rec.cycle == 1:
+                first["X"] = rec.state.X.copy()
+
+        with pytest.raises(NotConverged) as exc:
+            solve_shifted(ShiftedProblem(A, C, sigmas, m=m, eps=1e-300, max_restarts=2),
+                          observer=observer)
+        state = exc.value.state
+        assert len(records) == 2
+        rec = records[0]
+        N = 2 * m * p
+        Vb = rec.basis.matrix(2 * m)
+        next_seed = rec.basis.blocks[2 * m]
+        rhs = np.zeros((N, p))
+        rhs[:p] = rec.basis.gamma11
+        assert state.residual_history[4][0] == np.inf
+        assert 4 not in rec.Y
+        assert not first["X"][4].any()
+        for k, sigma in enumerate(sigmas):
+            if k == 4:
+                continue
+            Y = np.linalg.solve(rec.projected.T + sigma * np.eye(N), rhs)
+            X = Vb @ Y
+            assert np.linalg.norm(first["X"][k] - X) <= 1e-12 * np.linalg.norm(X)
+            want = np.linalg.norm(next_seed @ (-rec.projected.tau @ Y[-2 * p :]))
+            assert abs(state.residual_history[k][0] - want) <= 1e-12 * want
+            # the observer's Y is its own array, not the reused lift buffer
+            assert np.linalg.norm(rec.Y[k] - Y) <= 1e-12 * np.linalg.norm(Y)
 
     def test_validation(self):
         A = random_sparse_operator(30, 7)
