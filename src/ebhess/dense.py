@@ -60,25 +60,27 @@ def plu_factor(M, breakdown_tol=BREAKDOWN_TOL):
     n, p = M.shape
     if n < p or p == 0:
         raise DimensionMismatch(f"need rows >= cols >= 1, got {n}x{p}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # exact zero pivots are our own error path
-        lu, piv = sla.lu_factor(M)
+    # getrf copies M into its own output (exact zero pivots, info > 0, are
+    # caught by the pivot test below), and that output becomes the lower factor.
+    getrf, = sla.get_lapack_funcs(("getrf",), (M,))
+    lu, piv, _ = getrf(M)
     colmax = np.abs(M).max(axis=0)
     diag = np.abs(np.diag(lu[:p, :p]))
     bad = diag <= breakdown_tol * np.maximum(colmax, np.finfo(float).tiny)
     if bad.any():
         raise RankDeficient(int(np.argmax(bad)))
-    # lu_factor's piv is a sequence of row swaps; replaying them yields, for
-    # each elimination position, the original row that ended up there.
-    perm = np.arange(n)
-    for i, j in enumerate(piv):
-        perm[i], perm[j] = perm[j], perm[i]
-    L = np.tril(lu, -1)[:, :p]
-    L[np.arange(p), np.arange(p)] += 1.0
-    PL = np.empty_like(L)
-    PL[perm, :] = L
     U = np.triu(lu[:p, :])
-    return PivotedLUFactor(PL, U, perm[:p].copy())
+    lu[np.triu_indices(p)] = 0.0
+    np.fill_diagonal(lu, 1.0)
+    # getrf's piv is a sequence of row swaps; replaying them yields, for each
+    # elimination position r, the original row perm[r] that ended up there.
+    # Rows no swap touched keep their place, so only the at most 2p rows
+    # in perm move.
+    perm = {}
+    for i, j in enumerate(piv):
+        perm[i], perm[j] = perm.get(j, j), perm.get(i, i)
+    lu[list(perm.values()), :] = lu[list(perm.keys()), :]
+    return PivotedLUFactor(lu, U, np.array([perm[r] for r in range(p)]))
 
 
 def pivot_block_solve(Vk, pk, W):

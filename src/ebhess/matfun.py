@@ -132,8 +132,8 @@ def expm(M):
     return E
 
 
-def _check_branch(M, what):
-    w = np.linalg.eigvals(M)
+def _check_branch(w, what):
+    # w: the eigenvalues of the argument.
     scale = max(np.abs(w).max(), np.finfo(float).tiny)
     on_cut = (w.real <= 0.0) & (np.abs(w.imag) <= 1e-14 * scale)
     if on_cut.any():
@@ -141,13 +141,12 @@ def _check_branch(M, what):
         raise BranchCutViolation(
             f"{what}: eigenvalue {bad.real:.6g} on the closed negative real axis"
         )
-    return w
 
 
 def sqrtm(M):
     """Principal matrix square root by the Denman-Beavers iteration."""
     M = _square(M, "sqrtm")
-    _check_branch(M, "sqrtm")
+    _check_branch(np.linalg.eigvals(M), "sqrtm")
     return _sqrtm_db(M)
 
 
@@ -176,7 +175,7 @@ def logm(M):
     root of a matrix clear of the cut is clear of it too.
     """
     M = _square(M, "logm")
-    _check_branch(M, "logm")
+    _check_branch(np.linalg.eigvals(M), "logm")
     X = M.copy()
     s = 0
     while np.linalg.norm(X - np.eye(X.shape[0])) > 0.3 and s < 60:
@@ -194,8 +193,11 @@ def logm(M):
     return out * 2.0**s
 
 
-def _funm_eig(fn, M, what):
+def _funm_eig(fn, M, what, check=None):
+    # check(w, what), if given, vets the eigenvalues before the basis guard.
     w, X = np.linalg.eig(M)
+    if check is not None:
+        check(w, what)
     cond = np.linalg.cond(X)
     if not np.isfinite(cond) or cond > EIGENBASIS_COND_LIMIT:
         raise IllConditionedEigenbasis(
@@ -225,11 +227,9 @@ def funm(spec, M):
     if tag == "log":
         return logm(M)
     if tag == "expnegsqrt":
-        _check_branch(M, "funm(expnegsqrt)")
-        return _funm_eig(spec.scalar_eval, M, "funm(expnegsqrt)")
+        return _funm_eig(spec.scalar_eval, M, "funm(expnegsqrt)", _check_branch)
     if tag == "expinvx":
-        _check_pole_at_zero(M, "funm(expinvx)")
-        return _funm_eig(spec.scalar_eval, M, "funm(expinvx)")
+        return _funm_eig(spec.scalar_eval, M, "funm(expinvx)", _check_pole_at_zero)
     if tag == "resolvent":
         shifted = M + spec.shift * np.eye(M.shape[0])
         return _checked_inverse(shifted, "resolvent pole on the spectrum")
@@ -253,8 +253,8 @@ def _checked_inverse(M, pole_message):
     return sla.lu_solve(lu, np.eye(M.shape[0]))
 
 
-def _check_pole_at_zero(M, what):
-    w = np.linalg.eigvals(M)
+def _check_pole_at_zero(w, what):
+    # w: the eigenvalues of the argument.
     scale = max(np.abs(w).max(), np.finfo(float).tiny)
     if np.abs(w).min() <= 1e-14 * scale:
         raise BranchCutViolation(f"{what}: eigenvalue at the pole 0")

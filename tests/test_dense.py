@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ebhess import eig_dense, norms, pivot_block_solve, plu_factor
 from ebhess.errors import DimensionMismatch, RankDeficient, SingularPivotBlock
@@ -45,6 +48,40 @@ class TestPluFactor:
         assert_allclose(np.diag(sub), 1.0)
         for k in range(p):
             assert f.pivot_rows[k] == np.argmax(np.abs(f.permuted_unit_lower[:, k]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        p=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        far=st.booleans(),
+    )
+    def test_factor_properties(self, n, p, seed, far):
+        p = min(p, n)
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n, p))
+        if far and n > p:
+            # Each column's maximum below row p: the swaps reach far down.
+            M[rng.integers(p, n, p), np.arange(p)] = 10.0 + rng.random(p)
+        M0 = M.copy()
+        f = plu_factor(M)
+        assert_array_equal(M, M0)
+        PL = f.permuted_unit_lower
+        assert np.linalg.norm(PL @ f.upper - M) <= 1e-12 * np.linalg.norm(M)
+        sub = PL[f.pivot_rows, :]
+        assert_array_equal(sub, np.tril(sub))
+        assert_array_equal(np.diag(sub), 1.0)
+        assert np.abs(PL).max() <= 1.0
+        P, _, _ = sla.lu(M)
+        assert_array_equal(f.pivot_rows, np.argmax(P[:, :p], axis=0))
+
+    def test_read_only_input(self):
+        # A basis-store view: a column slice of a read-only Fortran array.
+        store = np.asfortranarray(np.random.default_rng(1).standard_normal((9, 6)))
+        store.flags.writeable = False
+        block = store[:, 2:4]
+        f = plu_factor(block)
+        assert_allclose(f.permuted_unit_lower @ f.upper, block, atol=1e-14)
 
     def test_rank_deficient(self):
         M = np.ones((5, 2))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.linalg as sla
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ebhess import (
     FactorizedOperator,
@@ -9,6 +10,7 @@ from ebhess import (
     build_T_direct,
     ebha_run,
     left_apply,
+    pivot_block_solve,
 )
 from ebhess.ebh import projection_gap
 from ebhess.errors import Breakdown, DimensionMismatch, SingularCoefficient
@@ -27,6 +29,63 @@ def dense_left_inverse(basis, k_blocks):
     assert np.abs(np.triu(L, 1)).max() <= 1e-12
     assert_allclose(np.diag(L), 1.0, atol=1e-12)
     return np.linalg.inv(L) @ P.T
+
+
+def reference_plu(M):
+    """Pivoted LU as first written: lu_factor, a tril copy and a scatter over all rows."""
+    n, p = M.shape
+    lu, piv = sla.lu_factor(M)
+    perm = np.arange(n)
+    for i, j in enumerate(piv):
+        perm[i], perm[j] = perm[j], perm[i]
+    L = np.tril(lu, -1)[:, :p]
+    L[np.arange(p), np.arange(p)] += 1.0
+    PL = np.empty_like(L)
+    PL[perm, :] = L
+    return PL, np.triu(lu[:p, :]), perm[:p]
+
+
+def reference_ebha(A, V, m, joint_start, reorthogonalize):
+    """Sequential oracle of ebha_run: one pivot_block_solve per earlier block,
+    then ``W = W - V_i @ H`` into a new array, and :func:`reference_plu`."""
+    n, p = V.shape
+    store = np.empty((n, (2 * m + 2) * p), order="F")
+    blocks, pivots, H = [], [], {}
+
+    def append(Vn, pn):
+        k = len(blocks)
+        store[:, k * p : (k + 1) * p] = Vn
+        blocks.append(store[:, k * p : (k + 1) * p])
+        pivots.append(pn)
+
+    if joint_start:
+        PL, G, piv = reference_plu(np.hstack([V, A.solve(V)]))
+        gammas = G[:p, :p], G[:p, p:], G[p:, p:]
+        append(PL[:, :p], piv[:p])
+        append(PL[:, p:], piv[p:])
+    else:
+        V1, g11, p1 = reference_plu(V)
+        append(V1, p1)
+        AinvV = A.solve(V)
+        g12 = pivot_block_solve(V1, p1, AinvV)
+        V2, g22, p2 = reference_plu(AinvV - V1 @ g12)
+        append(V2, p2)
+        gammas = g11, g12, g22
+
+    def project(W, col, upto):
+        for sweep in range(2 if reorthogonalize else 1):
+            for i in range(1, upto + 1):
+                Hc = pivot_block_solve(blocks[i - 1], pivots[i - 1], W)
+                W = W - blocks[i - 1] @ Hc
+                H[(i, col)] = H[(i, col)] + Hc if sweep else Hc
+        return W
+
+    for j in range(1, m + 1):
+        for col, upto, act in ((2 * j - 1, 2 * j, A.apply), (2 * j, 2 * j + 1, A.solve)):
+            Vn, Hn, pn = reference_plu(project(act(blocks[col - 1]), col, upto))
+            H[(col + 2, col)] = Hn
+            append(Vn, pn)
+    return store, pivots, H, gammas
 
 
 def selector(k, p, total):
@@ -98,8 +157,6 @@ class TestEbhaRun:
         n = 40
         A = random_sparse_operator(n, 3)
         V = random_block(n, 2, 3)
-        import scipy.linalg as sla
-
         seq = ebha_run(A, V, 2)
         joint = ebha_run(A, V, 2, joint_start=True)
         ang = sla.subspace_angles(seq.matrix(2), joint.matrix(2)).max()
@@ -110,6 +167,24 @@ class TestEbhaRun:
             AinvV = A.solve(V)
             recon = basis.blocks[0] @ basis.gamma12 + basis.blocks[1] @ basis.gamma22
             assert np.linalg.norm(AinvV - recon) <= 1e-12 * np.linalg.norm(AinvV)
+
+    @pytest.mark.parametrize("reorthogonalize", [False, True])
+    @pytest.mark.parametrize("joint_start", [False, True])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_bit_identical_to_sequential_oracle(self, p, joint_start, reorthogonalize):
+        n, m = 60, 3
+        A = random_sparse_operator(n, 30 + p)
+        V = random_block(n, p, 30 + p)
+        basis = ebha_run(A, V, m, joint_start=joint_start, reorthogonalize=reorthogonalize)
+        store, pivots, H, gammas = reference_ebha(A, V, m, joint_start, reorthogonalize)
+        assert_array_equal(basis.store, store)
+        for got, want in zip(basis.pivot_sets, pivots, strict=True):
+            assert_array_equal(got, want)
+        assert basis.H.keys() == H.keys()
+        for key in H:
+            assert_array_equal(basis.H[key], H[key])
+        for got, want in zip((basis.gamma11, basis.gamma12, basis.gamma22), gammas):
+            assert_array_equal(got, want)
 
     def test_reorthogonalize_keeps_identities(self):
         n = 60

@@ -109,6 +109,30 @@ class TestFunm:
         with pytest.raises(BranchCutViolation):
             funm(FunctionSpec.exp_neg_over_x(), np.diag([0.0, 1.0]))
 
+    @pytest.mark.parametrize("spec", [FunctionSpec.exp_neg_over_x(), FunctionSpec.exp_neg_sqrt()])
+    def test_one_eigendecomposition_per_call(self, monkeypatch, spec):
+        # The pole and branch checks read the eigenvalues of the one eig call.
+        calls = []
+        for name in ("eig", "eigvals"):
+            original = getattr(np.linalg, name)
+
+            def counted(M, _name=name, _original=original):
+                calls.append(_name)
+                return _original(M)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = np.random.default_rng(6)
+        B = rng.standard_normal((6, 6))
+        funm(spec, B @ B.T + 6 * np.eye(6))
+        assert calls == ["eig"]
+
+    def test_spectrum_check_precedes_conditioning_guard(self):
+        # Defective at the pole / on the cut: the spectrum error wins.
+        with pytest.raises(BranchCutViolation):
+            funm(FunctionSpec.exp_neg_over_x(), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(BranchCutViolation):
+            funm(FunctionSpec.exp_neg_sqrt(), np.array([[-1.0, 1.0], [0.0, -1.0]]))
+
     def test_ill_conditioned_eigenbasis(self):
         with pytest.raises(IllConditionedEigenbasis):
             funm(FunctionSpec.exp_neg_sqrt(), np.array([[1.0, 1.0], [0.0, 1.0]]))
