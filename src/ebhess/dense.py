@@ -27,11 +27,13 @@ class PivotedLUFactor:
     ``permuted_unit_lower @ upper`` reconstructs the input.  Row
     ``pivot_rows[k]`` holds the unit entry of column ``k`` of the lower
     factor; all entries of the lower factor have magnitude <= 1.
+    ``column_max[k]`` is max |input[:, k]|, the scale of the breakdown test.
     """
 
     permuted_unit_lower: np.ndarray
     upper: np.ndarray
     pivot_rows: np.ndarray
+    column_max: np.ndarray
 
 
 def _as_block(M, name="matrix"):
@@ -60,11 +62,13 @@ def plu_factor(M, breakdown_tol=BREAKDOWN_TOL):
     n, p = M.shape
     if n < p or p == 0:
         raise DimensionMismatch(f"need rows >= cols >= 1, got {n}x{p}")
-    # getrf copies M into its own output (exact zero pivots, info > 0, are
-    # caught by the pivot test below), and that output becomes the lower factor.
-    getrf, = sla.get_lapack_funcs(("getrf",), (M,))
-    lu, piv, _ = getrf(M)
-    colmax = np.abs(M).max(axis=0)
+    # getrf factors a Fortran-ordered copy of M in place, which becomes the
+    # lower factor (exact zero pivots, info > 0, fail the pivot test below).
+    # Column maxima are read from the copy: fast in Fortran order, no temporary.
+    lu = np.array(M, order="F")
+    colmax = np.maximum(lu.max(axis=0), -lu.min(axis=0))
+    getrf, = sla.get_lapack_funcs(("getrf",), (lu,))
+    lu, piv, _ = getrf(lu, overwrite_a=1)
     diag = np.abs(np.diag(lu[:p, :p]))
     bad = diag <= breakdown_tol * np.maximum(colmax, np.finfo(float).tiny)
     if bad.any():
@@ -80,7 +84,7 @@ def plu_factor(M, breakdown_tol=BREAKDOWN_TOL):
     for i, j in enumerate(piv):
         perm[i], perm[j] = perm.get(j, j), perm.get(i, i)
     lu[list(perm.values()), :] = lu[list(perm.keys()), :]
-    return PivotedLUFactor(lu, U, np.array([perm[r] for r in range(p)]))
+    return PivotedLUFactor(lu, U, np.array([perm[r] for r in range(p)]), colmax)
 
 
 def pivot_block_solve(Vk, pk, W):

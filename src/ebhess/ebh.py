@@ -123,18 +123,18 @@ def ebha_run(A, V, m, *, joint_start=False, reorthogonalize=False):
     breakdown_tol = 1e-13
 
     def normalize(W, step, raw_scale=None):
-        # Compare the projected candidate against the scale it had before
-        # projection: a candidate swallowed by the earlier blocks is the
-        # happy-breakdown signal, even though the leftover roundoff noise
-        # would pass a test relative to its own columns.
-        if raw_scale is not None:
-            wmax = np.abs(W).max(axis=0)
-            if (wmax <= breakdown_tol * max(raw_scale, np.finfo(float).tiny)).any():
-                raise Breakdown(step)
         try:
             f = plu_factor(W)
         except RankDeficient as exc:
             raise Breakdown(step) from exc
+        # Compare the projected candidate against the scale it had before
+        # projection: a candidate swallowed by the earlier blocks is the
+        # happy-breakdown signal, even though the leftover roundoff noise
+        # would pass a test relative to its own columns.
+        if raw_scale is not None and (
+            f.column_max <= breakdown_tol * max(raw_scale, np.finfo(float).tiny)
+        ).any():
+            raise Breakdown(step)
         if used[f.pivot_rows].any():
             # A pivot landing on an already-used row means the candidate was
             # numerically zero on every fresh row.

@@ -7,8 +7,10 @@ cycle restarts from the (2m+1)-th basis block, which carries every residual.
 
 The per-shift work is only a pivoted LU (LAPACK getrf/getrs, the routines
 behind ``scipy.linalg.lu_factor``/``lu_solve``) of the small shifted matrix.
-The reduced solutions are collected in chunks and lifted back to X with one
-product per chunk, so no per-shift product with the n-row basis is formed.
+Each cycle solves the reduced systems in place, side by side in one matrix,
+and every run of consecutive shifts is lifted back to X with one in-place
+GEMM against the n-row basis, so the basis is read once per run, not once
+per shift.
 """
 
 from dataclasses import dataclass, field
@@ -25,10 +27,6 @@ from .errors import (
     RankDeficient,
     ReducedSystemSingular,
 )
-
-# Byte budget of the (n, c*p) buffer that lifts the reduced solutions of c
-# shifts with one product; c is at least 1 whatever n is.
-_LIFT_BUFFER_BYTES = 1 << 20
 
 
 @dataclass
@@ -60,7 +58,10 @@ class ShiftedState:
     """Per-shift solutions, reductions and residual history."""
 
     shifts: np.ndarray
-    X: np.ndarray                 # (K, n, p)
+    # (K, n, p); a transposed view of one (K, p, n) array, so every X[k] is a
+    # Fortran-contiguous n x p block, and the blocks of consecutive shifts
+    # sit side by side as one Fortran-ordered matrix.
+    X: np.ndarray
     beta0: np.ndarray             # (K, p, p) residual coordinates in the seed frame
     converged: np.ndarray         # (K,) bool
     residual_history: list        # K lists of formula residual norms
@@ -105,11 +106,11 @@ def solve_shifted(problem, observer=None):
     residual coordinates as the new right-hand sides.
 
     Each reduced system is factored with partial pivoting by LAPACK getrf in
-    one reused buffer and solved by getrs.  The solutions Y are gathered in
-    chunks of as many shifts as fit an (n, c*p) buffer of about 1 MB (at
-    least one shift), and each chunk updates X, the residual coordinates and
-    the residual norms with one product against the basis, ``tau`` and the R
-    factor of the next seed.
+    one reused buffer and solved by getrs in place, in its own columns of a
+    fresh (2mp, K*p) matrix per cycle.  Each run of consecutive in-frame
+    shifts solved in the cycle then updates its columns of X with one GEMM
+    against the basis, and its residual coordinates and residual norms with
+    one product against ``tau`` and the R factor of the next seed.
 
     A shift whose reduced system is singular skips the cycle and is retried
     on the next basis with its residual reduced explicitly.  ``observer``,
@@ -124,9 +125,11 @@ def solve_shifted(problem, observer=None):
     K = len(sigmas)
     m = problem.m
 
+    Xs = np.zeros((K, p, n))
+    Xmat = Xs.reshape(K * p, n).T  # X[k] is Xmat[:, k*p:(k+1)*p]
     state = ShiftedState(
         shifts=sigmas.copy(),
-        X=np.zeros((K, n, p)),
+        X=Xs.transpose(0, 2, 1),
         beta0=np.repeat(np.eye(p)[None, :, :], K, axis=0),
         converged=np.zeros(K, dtype=bool),
         residual_history=[[] for _ in range(K)],
@@ -144,9 +147,6 @@ def solve_shifted(problem, observer=None):
         return state
 
     N = 2 * m * p
-    chunk = max(1, _LIFT_BUFFER_BYTES // (8 * n * p))
-    Ybuf = np.empty((N, chunk * p), order="F")
-    lifted = np.empty(n * chunk * p)
     shifted_T = np.empty((N, N), order="F")
     diag = np.arange(N)
     singular_tol = np.finfo(float).eps * N
@@ -180,17 +180,16 @@ def solve_shifted(problem, observer=None):
         T = np.asfortranarray(proj.T)
         T_diag = np.diag(proj.T)
         getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (T,))
+        gemm, = sla.get_blas_funcs(("gemm",), (Vb,))
         g11 = basis.gamma11
 
+        # Shift k solves in columns k*p:(k+1)*p.  The matrix is not reused,
+        # so the observer's Y stay valid after the cycle.
+        Ycyc = np.empty((N, K * p), order="F")
         Yrec, Rrec = {}, {}
         done = []      # (index, residual) of every shift solved this cycle
-        pending = []   # in-frame shifts whose Y fills the leading columns of Ybuf
+        lift = []      # in-frame shifts solved this cycle, ascending
         for k in active:
-            if in_frame[k]:
-                rhs = np.zeros((N, p))
-                rhs[:p] = g11 @ state.beta0[k]
-            else:
-                rhs = left_apply(basis, stalled_resid[k], 2 * m)
             shifted_T[...] = T
             shifted_T[diag, diag] = T_diag + sigmas[k]
             lu, piv, info = getrf(shifted_T, overwrite_a=True)
@@ -204,14 +203,16 @@ def solve_shifted(problem, observer=None):
                     in_frame[k] = False
                 state.residual_history[k].append(np.inf)
                 continue
-            Y, _ = getrs(lu, piv, rhs)
+            Y = Ycyc[:, k * p : (k + 1) * p]
+            if in_frame[k]:
+                Y[:p] = g11 @ state.beta0[k]
+                Y[p:] = 0.0
+            else:
+                Y[...] = left_apply(basis, stalled_resid[k], 2 * m)
+            getrs(lu, piv, Y, overwrite_b=1)
             Yrec[k] = Y
             if in_frame[k]:
-                Ybuf[:, len(pending) * p : (len(pending) + 1) * p] = Y
-                pending.append(k)
-                if len(pending) == chunk:
-                    done += _lift(state, pending, Ybuf, lifted, Vb, proj.tau, R_next)
-                    pending = []
+                lift.append(k)
                 continue
             # Off-frame update: the residual formula does not apply, so
             # measure directly, and accept the step only if it helps (a
@@ -226,8 +227,19 @@ def solve_shifted(problem, observer=None):
             else:
                 res = float(np.linalg.norm(stalled_resid[k]))
             done.append((k, res))
-        if pending:
-            done += _lift(state, pending, Ybuf, lifted, Vb, proj.tau, R_next)
+        # One maximal run of consecutive shifts is one contiguous column
+        # block of both Ycyc and X: lift it with one GEMM that adds into X in
+        # place, and take its next residual coordinates beta = -tau Y[-2p:]
+        # and their norms ||next_seed beta||_F together.
+        lift = np.array(lift, dtype=int)
+        runs = np.split(lift, np.flatnonzero(np.diff(lift) != 1) + 1) if len(lift) else []
+        for run in runs:
+            cols = slice(run[0] * p, (run[-1] + 1) * p)
+            gemm(1.0, Vb, Ycyc[:, cols], beta=1.0, c=Xmat[:, cols], overwrite_c=1)
+            beta = -proj.tau @ Ycyc[-2 * p :, cols]
+            res = np.linalg.norm((R_next @ beta).reshape(p, len(run), p), axis=(0, 2))
+            state.beta0[run] = beta.reshape(p, len(run), p).swapaxes(0, 1)
+            done += zip(run.tolist(), res.tolist())
 
         for k, res in done:
             state.residual_history[k].append(res)
@@ -242,27 +254,6 @@ def solve_shifted(problem, observer=None):
                 CycleRecord(state.restart_count, basis, proj, active, Yrec, Rrec, state)
             )
         seed = next_seed
-
-
-def _lift(state, ks, Ybuf, lifted, Vb, tau, R_next):
-    """Add Vb @ Y_k to X[k] for the in-frame shifts ``ks``, whose reduced
-    solutions fill the leading columns of ``Ybuf``, with one product for all
-    of them; store their next residual coordinates beta_k = -tau Y_k[-2p:].
-
-    Returns ``(k, ||next_seed beta_k||_F)`` pairs.
-    """
-    p = tau.shape[0]
-    cols = len(ks) * p
-    Y = Ybuf[:, :cols]
-    # With OpenBLAS a C-ordered product matches the per-shift Vb @ Y_k bit
-    # for bit; a Fortran-ordered one rounds differently.
-    VY = np.matmul(Vb, Y, out=lifted[: Vb.shape[0] * cols].reshape(-1, cols))
-    beta = -tau @ Y[-2 * p :]
-    res = np.linalg.norm((R_next @ beta).reshape(p, len(ks), p), axis=(0, 2))
-    for j, k in enumerate(ks):
-        state.X[k] += VY[:, j * p : (j + 1) * p]
-        state.beta0[k] = beta[:, j * p : (j + 1) * p]
-    return [(k, float(r)) for k, r in zip(ks, res)]
 
 
 def _invariant_subspace_solve(problem, state, seed, original):

@@ -41,6 +41,7 @@ class TestPluFactor:
         f = plu_factor(M)
         assert np.linalg.norm(f.permuted_unit_lower @ f.upper - M) <= 1e-12 * np.linalg.norm(M)
         assert np.abs(f.permuted_unit_lower).max() <= 1.0 + 1e-12
+        assert_array_equal(f.column_max, np.abs(M).max(axis=0))
         # pivot rows carry the unit entries, and on generic input they are
         # exactly where a per-column max scan lands
         sub = f.permuted_unit_lower[f.pivot_rows, :]

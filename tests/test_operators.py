@@ -68,6 +68,27 @@ class TestApplySolve:
         assert np.linalg.norm(A.apply(A.solve(B)) - B) <= 1e-10 * np.linalg.norm(B)
         assert np.linalg.norm(A.solve(A.apply(B)) - B) <= 1e-10 * np.linalg.norm(B)
 
+    @pytest.mark.parametrize("make", ["convdiff_l2", "unsymmetric"])
+    def test_sparse_lu_solve(self, make):
+        # Both are past the band cutoff and the dense fallback size, so
+        # they reach the sparse LU.
+        if make == "convdiff_l2":
+            A = gallery(GallerySpec("convdiff_l2", size=150))
+        else:
+            # Entries at offsets +37 and +400 but none below -1: the pattern
+            # of A is not that of A^T.
+            n = 2500
+            rng = np.random.default_rng(3)
+            offsets = [-1, 1, 37, 400]
+            bands = [rng.uniform(-1.0, 1.0, n - abs(k)) for k in offsets]
+            S = sp.diags(bands + [np.full(n, 4.5)], offsets + [0], format="csr")
+            P = (S != 0).astype(int)
+            assert (P - P.T).nnz > 0
+            A = FactorizedOperator.from_sparse(S)
+        assert A.structure == "sparse"
+        B = np.random.default_rng(4).standard_normal((A.n, 5))
+        assert np.linalg.norm(A.apply(A.solve(B)) - B) <= 1e-12 * np.linalg.norm(B)
+
     def test_dimension_mismatch(self):
         A = FactorizedOperator.identity(5)
         with pytest.raises(DimensionMismatch):

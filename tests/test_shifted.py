@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ebhess import (
     FactorizedOperator,
@@ -11,7 +11,6 @@ from ebhess import (
     residual_direct,
     solve_shifted,
 )
-from ebhess import shifted
 from ebhess.errors import NotConverged
 from _util import random_block, random_sparse_operator
 
@@ -151,49 +150,72 @@ class TestSolveShifted:
         if stalled_converged:
             assert residual_direct(A, C, sigma, state.X[0]) <= 1e-8
 
-    def test_chunked_lift_matches_per_shift_solves(self, monkeypatch):
-        # Three shifts per lift chunk, eleven shifts, and one singular shift
-        # in the middle of the second chunk: the chunks then hold shifts
-        # {0,1,2}, {3,5,6}, {7,8,9} and, in the flush after the loop, {10}.
+    def test_chunked_lift_matches_per_shift_solves(self):
+        # Eleven shifts with shift 4 singular in cycle 1: the in-frame shifts
+        # solved in cycle 1 form the runs {0..3} and {5..10}, each lifted
+        # with one product.  In cycle 2 shift 4 is off-frame and sits between
+        # the runs again.  X after both cycles must equal the per-shift
+        # oracle Vb1 Y1 + Vb2 Y2.
         n, p, m = 80, 2, 2
         A = random_sparse_operator(n, 11)
         C = random_block(n, p, 11)
-        monkeypatch.setattr(shifted, "_LIFT_BUFFER_BYTES", 3 * 8 * n * p)
         T = build_T(ebha_run(A, C, m)).T
         ritz = np.linalg.eigvals(T)
         sigmas = np.linspace(0.0, 2.0, 11)
         sigmas[4] = -float(ritz[np.abs(ritz.imag) < 1e-12].real[0])
+        K, N = len(sigmas), 2 * m * p
         records, first = [], {}
 
         def observer(rec):
             records.append(rec)
             if rec.cycle == 1:
                 first["X"] = rec.state.X.copy()
+                first["Y"] = {k: Y.copy() for k, Y in rec.Y.items()}
 
         with pytest.raises(NotConverged) as exc:
             solve_shifted(ShiftedProblem(A, C, sigmas, m=m, eps=1e-300, max_restarts=2),
                           observer=observer)
         state = exc.value.state
         assert len(records) == 2
-        rec = records[0]
-        N = 2 * m * p
-        Vb = rec.basis.matrix(2 * m)
-        next_seed = rec.basis.blocks[2 * m]
-        rhs = np.zeros((N, p))
-        rhs[:p] = rec.basis.gamma11
+        assert state.X.shape == (K, n, p)
+        assert all(state.X[k].flags.f_contiguous for k in range(K))
         assert state.residual_history[4][0] == np.inf
-        assert 4 not in rec.Y
+        assert 4 not in records[0].Y
         assert not first["X"][4].any()
-        for k, sigma in enumerate(sigmas):
-            if k == 4:
-                continue
-            Y = np.linalg.solve(rec.projected.T + sigma * np.eye(N), rhs)
-            X = Vb @ Y
-            assert np.linalg.norm(first["X"][k] - X) <= 1e-12 * np.linalg.norm(X)
-            want = np.linalg.norm(next_seed @ (-rec.projected.tau @ Y[-2 * p :]))
-            assert abs(state.residual_history[k][0] - want) <= 1e-12 * want
-            # the observer's Y is its own array, not the reused lift buffer
-            assert np.linalg.norm(rec.Y[k] - Y) <= 1e-12 * np.linalg.norm(Y)
+        X = np.zeros((K, n, p))
+        beta = {k: np.eye(p) for k in range(K)}
+        for cycle, rec in enumerate(records):
+            Vb = rec.basis.matrix(2 * m)
+            next_seed = rec.basis.blocks[2 * m]
+            for k, sigma in enumerate(sigmas):
+                if k == 4 and cycle == 0:
+                    continue
+                if k == 4:  # off-frame: residual C, reduced explicitly
+                    rhs = left_apply(rec.basis, C, 2 * m)
+                else:
+                    rhs = np.zeros((N, p))
+                    rhs[:p] = rec.basis.gamma11 @ beta[k]
+                Y = np.linalg.solve(rec.projected.T + sigma * np.eye(N), rhs)
+                assert np.linalg.norm(rec.Y[k] - Y) <= 1e-12 * np.linalg.norm(Y)
+                W = Vb @ Y
+                if k == 4:
+                    # the off-frame step is kept only if it lowers the residual
+                    want = np.linalg.norm(C - (A.apply(W) + sigma * W))
+                    if want >= np.linalg.norm(C):
+                        W, want = 0.0 * W, np.linalg.norm(C)
+                else:
+                    beta[k] = -rec.projected.tau @ Y[-2 * p :]
+                    want = np.linalg.norm(next_seed @ beta[k])
+                    if cycle == 0:
+                        assert np.linalg.norm(first["X"][k] - W) <= 1e-12 * np.linalg.norm(W)
+                X[k] += W
+                got = state.residual_history[k][cycle]
+                assert abs(got - want) <= 1e-12 * want
+        for k in range(K):
+            assert np.linalg.norm(state.X[k] - X[k]) <= 1e-12 * np.linalg.norm(X[k])
+        # cycle 1's observer Y are not overwritten by cycle 2
+        for k, Y in first["Y"].items():
+            assert_array_equal(records[0].Y[k], Y)
 
     def test_validation(self):
         A = random_sparse_operator(30, 7)
