@@ -1,10 +1,11 @@
 """Matrix functions of small dense matrices, plus Laurent polynomial actions.
 
-The projected matrices this module sees are nonnormal, so the general path
-(complex eigendecomposition) carries a conditioning guard and the named
-functions get dedicated kernels: scaling-and-squaring for exp, a
-Denman-Beavers iteration for the square root, inverse scaling-and-squaring
-for the logarithm, and a direct solve for the resolvent.
+The projected matrices this module sees are nonnormal, so the named
+functions get dedicated kernels: scaling-and-squaring for exp, exp(-x)/x as
+M^{-1} expm(-M) through one LU solve, a Denman-Beavers iteration for the
+square root, inverse scaling-and-squaring for the logarithm, and a direct
+solve for the resolvent.  Only exp(-sqrt(x)) and custom functions take the
+general path, a complex eigendecomposition with a conditioning guard.
 """
 
 import warnings
@@ -213,10 +214,12 @@ def _funm_eig(fn, M, what, check=None):
 def funm(spec, M):
     """Evaluate f(M) for a :class:`FunctionSpec` on a small square matrix.
 
-    exp, sqrt and log go through their dedicated kernels, the resolvent is a
-    direct shifted solve, Laurent polynomials are evaluated by explicit
-    matrix powers, and everything else uses the eigendecomposition path with
-    the conditioning guard.
+    exp, sqrt and log go through their dedicated kernels, exp(-x)/x is
+    M^{-1} expm(-M) by an LU solve, the resolvent is a direct shifted solve,
+    Laurent polynomials are evaluated by explicit matrix powers, and
+    exp(-sqrt(x)) and custom functions use the eigendecomposition path with
+    the conditioning guard.  A zero pivot in any of the solves is a pole on
+    the spectrum and raises :class:`BranchCutViolation`.
     """
     M = _square(M, "funm")
     tag = spec.tag
@@ -229,10 +232,15 @@ def funm(spec, M):
     if tag == "expnegsqrt":
         return _funm_eig(spec.scalar_eval, M, "funm(expnegsqrt)", _check_branch)
     if tag == "expinvx":
-        return _funm_eig(spec.scalar_eval, M, "funm(expinvx)", _check_pole_at_zero)
+        lu = _checked_lu(M, "funm(expinvx): eigenvalue at the pole 0")
+        F = sla.lu_solve(lu, expm(-M))
+        if not np.isfinite(F).all():
+            raise Overflow("funm(expinvx): result is not finite")
+        return F
     if tag == "resolvent":
         shifted = M + spec.shift * np.eye(M.shape[0])
-        return _checked_inverse(shifted, "resolvent pole on the spectrum")
+        lu = _checked_lu(shifted, "resolvent pole on the spectrum")
+        return sla.lu_solve(lu, np.eye(M.shape[0]))
     if tag == "laurent":
         return _laurent_matrix(spec.coeffs, M)
     if tag == "custom":
@@ -240,7 +248,8 @@ def funm(spec, M):
     raise ValueError(f"unknown tag {tag!r}")
 
 
-def _checked_inverse(M, pole_message):
+def _checked_lu(M, pole_message):
+    # LU factors of M; a zero or tiny U pivot is a pole on the spectrum.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -250,14 +259,7 @@ def _checked_inverse(M, pole_message):
     d = np.abs(np.diag(lu[0]))
     if d.size == 0 or d.min() <= np.finfo(float).eps * max(d.max(), np.finfo(float).tiny) * M.shape[0]:
         raise BranchCutViolation(pole_message)
-    return sla.lu_solve(lu, np.eye(M.shape[0]))
-
-
-def _check_pole_at_zero(w, what):
-    # w: the eigenvalues of the argument.
-    scale = max(np.abs(w).max(), np.finfo(float).tiny)
-    if np.abs(w).min() <= 1e-14 * scale:
-        raise BranchCutViolation(f"{what}: eigenvalue at the pole 0")
+    return lu
 
 
 def _laurent_matrix(coeffs, M):
@@ -275,7 +277,8 @@ def _laurent_matrix(coeffs, M):
             if j in cmap:
                 out += cmap[j] * P
     if neg:
-        Minv = _checked_inverse(M, "negative powers need a nonsingular matrix")
+        lu = _checked_lu(M, "negative powers need a nonsingular matrix")
+        Minv = sla.lu_solve(lu, np.eye(n))
         P = np.eye(n)
         for j in range(1, max(neg) + 1):
             P = Minv @ P

@@ -40,6 +40,14 @@ class TestMfEbh:
         with pytest.raises(Overflow):
             mf_ebh(A, V, 20, FunctionSpec.exp_neg_over_x())
 
+    def test_exp_neg_over_x_matches_rot2_reference(self):
+        A = gallery(GallerySpec("rot2_blockdiag", 400))
+        V = np.random.default_rng(7).random((400, 5))
+        spec = FunctionSpec.exp_neg_over_x()
+        want = reference_matfun(A, V, spec)
+        res = mf_ebh(A, V, 10, spec, reference=want)
+        assert res.relative_error <= 1e-10
+
     def test_resolvent_at_zero_is_solve(self):
         A = random_sparse_operator(60, 1)
         V = random_block(60, 2, 1)

@@ -111,7 +111,9 @@ class TestFunm:
 
     @pytest.mark.parametrize("spec", [FunctionSpec.exp_neg_over_x(), FunctionSpec.exp_neg_sqrt()])
     def test_one_eigendecomposition_per_call(self, monkeypatch, spec):
-        # The pole and branch checks read the eigenvalues of the one eig call.
+        # exp(-sqrt(x)): the branch check reads the eigenvalues of the one eig
+        # call.  exp(-x)/x is M^{-1} expm(-M) and needs no eigenvalues at all.
+        want = {"expinvx": [], "expnegsqrt": ["eig"]}[spec.tag]
         calls = []
         for name in ("eig", "eigvals"):
             original = getattr(np.linalg, name)
@@ -124,7 +126,7 @@ class TestFunm:
         rng = np.random.default_rng(6)
         B = rng.standard_normal((6, 6))
         funm(spec, B @ B.T + 6 * np.eye(6))
-        assert calls == ["eig"]
+        assert calls == want
 
     def test_spectrum_check_precedes_conditioning_guard(self):
         # Defective at the pole / on the cut: the spectrum error wins.
@@ -147,6 +149,10 @@ class TestFunm:
             lhs = funm(spec, M)
             rhs = P @ funm(spec, D) @ np.linalg.inv(P)
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
+        d = np.diag(D)
+        lhs = funm(FunctionSpec.exp_neg_over_x(), M)
+        rhs = P @ np.diag(np.exp(-d) / d) @ np.linalg.inv(P)
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_laurent_matrix_matches_scalar_on_diag(self):
         spec = FunctionSpec.laurent({-2: 0.5, 0: 1.0, 1: -2.0})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from fractions import Fraction
 from numpy.testing import assert_allclose
 
@@ -88,6 +89,19 @@ class TestApplySolve:
         assert A.structure == "sparse"
         B = np.random.default_rng(4).standard_normal((A.n, 5))
         assert np.linalg.norm(A.apply(A.solve(B)) - B) <= 1e-12 * np.linalg.norm(B)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "1-D", "strided"])
+    def test_rot2_apply_solve_match_sparse(self, layout):
+        A = gallery(GallerySpec("rot2_blockdiag", 400))
+        B = np.random.default_rng(8).standard_normal((400, 6))
+        B = {"C": B, "F": np.asfortranarray(B), "1-D": B[:, 0], "strided": B[:, ::2]}[layout]
+        before = B.copy()
+        S = A.to_sparse().tocsc()
+        B2 = B.reshape(400, -1)
+        for got, want in ((A.apply(B), S @ B2), (A.solve(B), spla.spsolve(S, B2).reshape(B2.shape))):
+            assert got.shape == B2.shape
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        assert np.array_equal(B, before)
 
     def test_dimension_mismatch(self):
         A = FactorizedOperator.identity(5)
@@ -196,13 +210,15 @@ class TestGallery:
         assert cond1 == pytest.approx(50.434, rel=1e-3)
 
     def test_mu2(self):
-        op = gallery(GallerySpec("rot2_blockdiag", size=10))
-        a = (2.0 * np.arange(1, 6) - 1.0) / 11.0
-        assert op.mu2() == pytest.approx(a.max())
+        # n = 5000 is past the dense limit, so it takes the Lanczos route.
+        for n in (10, 5000):
+            op = gallery(GallerySpec("rot2_blockdiag", size=n))
+            a = (2.0 * np.arange(1, n // 2 + 1) - 1.0) / (n + 1.0)
+            assert op.mu2() == pytest.approx(a.max(), rel=1e-12)
 
     def test_mu2_power_iteration_fallback(self):
-        # the shifted power iteration is only reached above the dense limit;
-        # exercise it directly against the dense eigensolver
+        # the Lanczos route is only reached above the dense limit; exercise
+        # it directly against the dense eigensolver
         from ebhess.operators import _sym_lambda_max
 
         rng = np.random.default_rng(21)
