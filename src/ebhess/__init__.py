@@ -10,6 +10,7 @@ from .approx import (
     mf_eba,
     mf_ebh,
     reference_matfun,
+    tridiag_reference,
 )
 from .dense import PivotedLUFactor, eig_dense, norms, pivot_block_solve, plu_factor
 from .eba import OrthoBasis, eba_run
@@ -74,4 +75,5 @@ __all__ = [
     "residual_direct",
     "solve_shifted",
     "sqrtm",
+    "tridiag_reference",
 ]

@@ -9,11 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .dense import SMALL_DIM_LIMIT, norms
 from .ebh import build_T, ebha_run
 from .eba import eba_run
-from .errors import AssumptionViolated, DimensionMismatch
+from .errors import AssumptionViolated, DimensionMismatch, Overflow
 from .matfun import expm, funm
 
 
@@ -103,11 +104,38 @@ def rot2_reference(A, V, spec):
     return out
 
 
+def _is_scaled_laplacian(A):
+    # True when A's entries are those of tridiag_scaled(n): n^2 tridiag(-1, 2, -1).
+    if A.structure != "banded":
+        return False
+    want = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(A.n, A.n)) * float(A.n) ** 2
+    return abs(A.to_sparse() - want).max() == 0.0
+
+
+def tridiag_reference(A, V, spec):
+    """Exact f(A)V for n^2 tridiag(-1, 2, -1) by two orthonormal DST-I
+    transforms around its eigenvalues n^2 (2 - 2 cos(k pi/(n+1)))."""
+    if not _is_scaled_laplacian(A):
+        raise DimensionMismatch("operator is not n^2 tridiag(-1, 2, -1)")
+    lam = A.n**2 * (2.0 - 2.0 * np.cos(np.arange(1, A.n + 1) * np.pi / (A.n + 1)))
+    with np.errstate(all="ignore"):  # a non-finite value becomes our typed error below
+        f = np.real(spec.scalar_eval(lam))
+    if not np.isfinite(f).all():
+        raise Overflow("tridiag_reference: f is not finite on the spectrum")
+    from scipy.fft import dst  # imported here: it adds ~40% to `import ebhess`
+
+    W = dst(_as_block(V), type=1, norm="ortho", axis=0)
+    return dst(f[:, None] * W, type=1, norm="ortho", axis=0)
+
+
 def reference_matfun(A, V, spec, small_dim_limit=SMALL_DIM_LIMIT):
     """Best available exact value of f(A)V: blockwise for rot2 operators,
-    dense evaluation below the small-dimension limit, error otherwise."""
+    sine transforms for the scaled 1-D Laplacian, dense evaluation below the
+    small-dimension limit, :class:`DimensionMismatch` otherwise."""
     if A.rot2 is not None:
         return rot2_reference(A, V, spec)
+    if _is_scaled_laplacian(A):
+        return tridiag_reference(A, V, spec)
     return exact_dense(A.to_dense(small_dim_limit), V, spec, small_dim_limit)
 
 

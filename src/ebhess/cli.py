@@ -10,13 +10,12 @@ import argparse
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .approx import mf_eba, mf_ebh, reference_matfun
-from .dense import SMALL_DIM_LIMIT
-from .errors import BadConfig, EbhessError, NotConverged
+from .errors import BadConfig, DimensionMismatch, EbhessError, NotConverged
 from .matfun import FunctionSpec
 from .operators import FactorizedOperator, GallerySpec, flop_estimate, gallery, read_matrix_market
 from .shifted import ShiftedProblem, residual_direct, solve_shifted
@@ -47,7 +46,7 @@ class RunConfig:
     p: int = 5
     m_list: tuple = (10,)
     m_max: int = 0
-    funcs: tuple = field(default_factory=tuple)
+    funcs: tuple = FUNC_NAMES
     methods: tuple = ("ebh", "eba")
     shifts: tuple = (0.0, 5.0, 500)
     eps: float = 2e-8
@@ -119,6 +118,14 @@ def make_operator(config):
     return gallery(GallerySpec(name, size=config.n))
 
 
+def _reference(config, A, V, spec):
+    try:  # approx.reference_matfun decides which exact reference applies
+        return reference_matfun(A, V, spec)
+    except DimensionMismatch as exc:
+        hint = "; rerun with --no-rel-err" if config.command == "matfun" else ""
+        raise BadConfig(f"n={A.n} too large for the dense reference{hint}") from exc
+
+
 def _timed(fn, repeat):
     result = fn()
     times = [result.wall_time]
@@ -130,16 +137,12 @@ def _timed(fn, repeat):
 def run_matfun_table(config):
     """Approximation table: one row per (function, method, m)."""
     A = make_operator(config)
-    if config.rel_err and A.rot2 is None and A.n > SMALL_DIM_LIMIT:
-        raise BadConfig(
-            f"n={A.n} too large for the dense reference; rerun with --no-rel-err"
-        )
     rng = np.random.default_rng(config.seed)
     V = rng.random((A.n, config.p))
     rows = []
     for fname in config.funcs:
         spec = FunctionSpec.from_name(fname)
-        reference = reference_matfun(A, V, spec) if config.rel_err else None
+        reference = _reference(config, A, V, spec) if config.rel_err else None
         for method in config.methods:
             driver = mf_ebh if method == "ebh" else mf_eba
             for m in config.m_list:
@@ -212,10 +215,6 @@ def run_curves(config):
     A = make_operator(config)
     if config.m_max < 1:
         raise BadConfig("curves needs --m-max >= 1")
-    if config.rel_err and A.rot2 is None and A.n > SMALL_DIM_LIMIT:
-        raise BadConfig(
-            f"n={A.n} too large for the dense reference; rerun with --no-rel-err"
-        )
     rng = np.random.default_rng(config.seed)
     V = rng.random((A.n, config.p))
     if config.out is None:
@@ -223,7 +222,7 @@ def run_curves(config):
     paths = []
     for fname in config.funcs:
         spec = FunctionSpec.from_name(fname)
-        reference = reference_matfun(A, V, spec)
+        reference = _reference(config, A, V, spec)
         series = []
         for m in range(1, config.m_max + 1):
             try:
@@ -303,49 +302,33 @@ def _read_config_file(path):
             if "=" not in line:
                 raise BadConfig(f"config line {raw.strip()!r} is not key=value")
             key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            values["m_list" if key == "m" else key] = val.strip()
     return values
 
 
-_BOOL_KEYS = {"rel_err"}
+# RunConfig field (and flag dest) -> parser; RunConfig holds the defaults.
+_OPTIONS = {
+    "gallery": str, "input": str, "out": str, "n": int, "grid": int, "p": int,
+    "seed": int, "repeat": int, "m_list": _parse_int_list, "m_max": int,
+    "funcs": _parse_funcs, "shifts": _parse_shifts, "eps": float,
+    "max_restarts": int, "nnz": int,
+    "methods": lambda t: tuple(s for s in str(t).split(",") if s),
+}
 
 
 def _resolve(args, command):
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     config = RunConfig(command=command)
-
-    def pick(key, flag_value, parse=None, default=None):
-        if flag_value is not None:
-            value = flag_value
-        elif key in file_values:
-            value = file_values[key]
-            if key in _BOOL_KEYS and isinstance(value, str):
-                value = value.lower() in ("1", "true", "yes")
-        else:
-            value = default
-        if value is not None and parse is not None:
-            value = parse(value)
-        if value is not None:
-            setattr(config, key, value)
-
-    pick("gallery", getattr(args, "gallery", None))
-    pick("input", getattr(args, "input", None))
-    pick("n", getattr(args, "n", None), int, 0)
-    pick("grid", getattr(args, "grid", None), int, 0)
-    pick("p", getattr(args, "p", None), int, 5)
-    pick("seed", getattr(args, "seed", None), int, 0)
-    pick("repeat", getattr(args, "repeat", None), int, 10)
-    pick("out", getattr(args, "out", None))
-    pick("m_list", getattr(args, "m", None), _parse_int_list, "10")
-    pick("m_max", getattr(args, "m_max", None), int, 0)
-    pick("funcs", getattr(args, "funcs", None), _parse_funcs,
-         ",".join(FUNC_NAMES) if command in ("matfun", "curves") else None)
-    pick("methods", getattr(args, "methods", None),
-         lambda t: tuple(s for s in str(t).split(",") if s), "ebh,eba")
-    pick("shifts", getattr(args, "shifts", None), _parse_shifts, "0:5:500")
-    pick("eps", getattr(args, "eps", None), float, 2e-8)
-    pick("max_restarts", getattr(args, "max_restarts", None), int, 20)
-    pick("nnz", getattr(args, "nnz", None), int, 0)
+    for key, parse in _OPTIONS.items():
+        value = getattr(args, key, None)
+        value = file_values.get(key) if value is None else value
+        if value is None:
+            continue
+        try:
+            setattr(config, key, parse(value))
+        except ValueError as exc:
+            raise BadConfig(f"bad value {value!r} for {key}") from exc
     if getattr(args, "no_rel_err", False):
         config.rel_err = False
     elif "rel_err" in file_values:
@@ -379,7 +362,7 @@ def build_parser():
 
     matfun = subs.add_parser("matfun", help="approximation table for f(A)V")
     _add_common(matfun)
-    matfun.add_argument("--m", help="comma-separated step counts, e.g. 10,15")
+    matfun.add_argument("--m", dest="m_list", help="comma-separated step counts, e.g. 10,15")
     matfun.add_argument("--funcs", help=f"comma-separated functions from: {','.join(FUNC_NAMES)}")
     matfun.add_argument("--methods", help="comma-separated methods: ebh,eba")
     matfun.add_argument("--no-rel-err", action="store_true",
@@ -387,7 +370,7 @@ def build_parser():
 
     shifted = subs.add_parser("shifted", help="restarted shifted-system table")
     _add_common(shifted)
-    shifted.add_argument("--m", help="comma-separated cycle lengths, e.g. 5,10")
+    shifted.add_argument("--m", dest="m_list", help="comma-separated cycle lengths, e.g. 5,10")
     shifted.add_argument("--shifts", help="start:end:count, e.g. 0:5:500")
     shifted.add_argument("--eps", type=float, help="residual tolerance (default 2e-8)")
     shifted.add_argument("--max-restarts", type=int, dest="max_restarts",
@@ -401,7 +384,7 @@ def build_parser():
     flops = subs.add_parser("flops", help="operation-count report")
     flops.add_argument("--n", type=int, required=True)
     flops.add_argument("--p", type=int, required=True)
-    flops.add_argument("--m", help="step count")
+    flops.add_argument("--m", dest="m_list", help="step count")
     flops.add_argument("--nnz", type=int, required=True)
     flops.add_argument("--out", help="output CSV path (default stdout)")
     flops.add_argument("--config", help="key=value file with defaults; flags win")
@@ -413,13 +396,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _resolve(args, args.command)
+        if args.command in ("matfun", "shifted") and config.out is None:
+            raise BadConfig(f"{args.command} needs --out")
         if args.command == "matfun":
-            if config.out is None:
-                raise BadConfig("matfun needs --out")
             run_matfun_table(config)
         elif args.command == "shifted":
-            if config.out is None:
-                raise BadConfig("shifted needs --out")
             run_shifted_table(config)
         elif args.command == "curves":
             run_curves(config)

@@ -2,10 +2,11 @@
 
 The projected matrices this module sees are nonnormal, so the named
 functions get dedicated kernels: scaling-and-squaring for exp, exp(-x)/x as
-M^{-1} expm(-M) through one LU solve, a Denman-Beavers iteration for the
-square root, inverse scaling-and-squaring for the logarithm, and a direct
-solve for the resolvent.  Only exp(-sqrt(x)) and custom functions take the
-general path, a complex eigendecomposition with a conditioning guard.
+M^{-1} expm(-M) through one LU solve, scipy's blocked Schur square root and
+its inverse scaling-and-squaring logarithm (each behind one branch-cut check
+of the spectrum), and a direct solve for the resolvent.  Only exp(-sqrt(x))
+and custom functions take the general path, a complex eigendecomposition
+with a conditioning guard.
 """
 
 import warnings
@@ -19,7 +20,6 @@ from .errors import (
     BranchCutViolation,
     DimensionMismatch,
     IllConditionedEigenbasis,
-    NoConvergence,
     Overflow,
 )
 
@@ -145,53 +145,28 @@ def _check_branch(w, what):
 
 
 def sqrtm(M):
-    """Principal matrix square root by the Denman-Beavers iteration."""
-    M = _square(M, "sqrtm")
-    _check_branch(np.linalg.eigvals(M), "sqrtm")
-    return _sqrtm_db(M)
-
-
-def _sqrtm_db(M):
-    # Denman-Beavers iteration on a matrix already cleared of the branch cut.
-    X = M.copy()
-    Y = np.eye(M.shape[0])
-    for _ in range(100):
-        Xi = np.linalg.inv(X)
-        Yi = np.linalg.inv(Y)
-        Xn = 0.5 * (X + Yi)
-        Yn = 0.5 * (Y + Xi)
-        delta = np.linalg.norm(Xn - X) / max(np.linalg.norm(Xn), np.finfo(float).tiny)
-        X, Y = Xn, Yn
-        if delta < 1e-14:
-            return X
-    raise NoConvergence("Denman-Beavers iteration did not converge")
+    """Principal matrix square root by scipy's blocked Schur method."""
+    return _principal(sla.sqrtm, M, "sqrtm")
 
 
 def logm(M):
-    """Principal matrix logarithm by inverse scaling and squaring.
+    """Principal matrix logarithm by scipy's inverse scaling and squaring."""
+    return _principal(sla.logm, M, "logm")
 
-    Square roots are taken until the iterate is close to the identity, the
-    small logarithm is summed from its alternating series, and the result is
-    scaled back.  The branch cut is checked once, on M: the principal square
-    root of a matrix clear of the cut is clear of it too.
-    """
-    M = _square(M, "logm")
-    _check_branch(np.linalg.eigvals(M), "logm")
-    X = M.copy()
-    s = 0
-    while np.linalg.norm(X - np.eye(X.shape[0])) > 0.3 and s < 60:
-        X = _sqrtm_db(X)
-        s += 1
-    E = X - np.eye(X.shape[0])
-    term = E.copy()
-    out = E.copy()
-    for k in range(2, 80):
-        term = term @ E
-        inc = ((-1.0) ** (k + 1) / k) * term
-        out += inc
-        if np.linalg.norm(inc) <= 1e-17 * max(np.linalg.norm(out), 1e-300):
-            break
-    return out * 2.0**s
+
+def _principal(kernel, M, what):
+    # One branch-cut check, then the scipy kernel.  M is real and clear of
+    # the cut, so an imaginary part at roundoff level is dropped.
+    M = _square(M, what)
+    _check_branch(np.linalg.eigvals(M), what)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a non-finite result becomes our typed error below
+        F = kernel(M)
+    if not np.isfinite(F).all():
+        raise Overflow(f"{what}: result is not finite")
+    if np.iscomplexobj(F) and np.abs(F.imag).max() <= 1e-12 * np.abs(F).max():
+        F = F.real
+    return F
 
 
 def _funm_eig(fn, M, what, check=None):

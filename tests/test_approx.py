@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from ebhess import (
@@ -17,8 +18,9 @@ from ebhess import (
     mf_eba,
     mf_ebh,
     reference_matfun,
+    tridiag_reference,
 )
-from ebhess.errors import AssumptionViolated, DimensionMismatch, Overflow
+from ebhess.errors import AssumptionViolated, DimensionMismatch, NoConvergence, Overflow
 from _util import dissipative_operator, random_block, random_sparse_operator
 
 FIVE = [FunctionSpec.from_name(t) for t in ("exp", "sqrt", "expnegsqrt", "log", "expinvx")]
@@ -39,6 +41,23 @@ class TestMfEbh:
         V = np.random.default_rng(7).random((5000, 5))
         with pytest.raises(Overflow):
             mf_ebh(A, V, 20, FunctionSpec.exp_neg_over_x())
+
+    def test_fig1_tridiag_sqrt_log_converge(self):
+        # The paper's Fig. 1 setting: scaled 1-D Laplacian, n = 5000.  At
+        # m = 10 and 30 the projected T is clear of the branch cut.
+        A = gallery(GallerySpec("tridiag_scaled", 5000))
+        V = np.random.default_rng(7).random((5000, 5))
+        for spec in (FunctionSpec.sqrt(), FunctionSpec.log()):
+            ref = reference_matfun(A, V, spec)
+            err = {}
+            for m in (10, 30):
+                try:
+                    res = mf_ebh(A, V, m, spec, reference=ref)
+                except NoConvergence as exc:  # pragma: no cover - the defect this pins
+                    pytest.fail(f"{spec.tag} m={m}: {exc}")
+                assert np.isfinite(res.approximation).all()
+                err[m] = res.relative_error
+            assert err[30] <= 1e-6 and err[30] < err[10], (spec.tag, err)
 
     def test_exp_neg_over_x_matches_rot2_reference(self):
         A = gallery(GallerySpec("rot2_blockdiag", 400))
@@ -141,6 +160,45 @@ class TestExactDense:
             fast = reference_matfun(A, V, spec)
             slow = exact_dense(A.to_dense(), V, spec)
             assert np.linalg.norm(fast - slow) <= 1e-9 * np.linalg.norm(slow)
+
+
+class TestTridiagReference:
+    def test_matches_dense(self):
+        A = gallery(GallerySpec("tridiag_scaled", size=50))
+        V = random_block(50, 2, 9)
+        # exp overflows on this spectrum (up to 1e4); take a decaying one.
+        decay = FunctionSpec.custom(lambda z: np.exp(-z / 2500.0))
+        for spec in [s for s in FIVE if s.tag != "exp"] + [decay]:
+            fast = tridiag_reference(A, V, spec)
+            slow = exact_dense(A.to_dense(), V, spec)
+            assert np.linalg.norm(fast - slow) <= 1e-11 * np.linalg.norm(slow), spec.tag
+
+    def test_identity_function_is_apply(self):
+        # Above the dense limit reference_matfun still finds the operator.
+        A = gallery(GallerySpec("tridiag_scaled", size=5000))
+        V = random_block(5000, 3, 10)
+        got = reference_matfun(A, V, FunctionSpec.laurent({1: 1.0}))
+        want = A.apply(V)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_recognised_by_entries(self):
+        n = 5000
+        S = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) * float(n) ** 2
+        same = FactorizedOperator.from_sparse(S)
+        other = FactorizedOperator.from_sparse(S + sp.eye(n))
+        V = random_block(n, 2, 11)
+        spec = FunctionSpec.sqrt()
+        assert np.array_equal(reference_matfun(same, V, spec),
+                              tridiag_reference(gallery(GallerySpec("tridiag_scaled", n)), V, spec))
+        with pytest.raises(DimensionMismatch):
+            tridiag_reference(other, V, spec)
+        with pytest.raises(DimensionMismatch):
+            reference_matfun(other, V, spec)  # no exact reference above the dense limit
+
+    def test_overflow_is_typed(self):
+        A = gallery(GallerySpec("tridiag_scaled", size=5000))
+        with pytest.raises(Overflow):
+            tridiag_reference(A, random_block(5000, 1, 12), FunctionSpec.exp())
 
 
 class TestExpErrorBound:

@@ -63,6 +63,16 @@ class TestMatfunCommand:
         assert rc == 2
         assert "rel-err" in capsys.readouterr().err
 
+    def test_tridiag_above_dense_limit_has_exact_reference(self, tmp_path):
+        out = str(tmp_path / "tri.csv")
+        assert main(
+            ["matfun", "--gallery", "tridiag", "--n", "5000", "--p", "5", "--m", "10",
+             "--funcs", "sqrt", "--methods", "ebh", "--seed", "7", "--repeat", "1",
+             "--out", out]
+        ) == 0
+        _, _, (row,) = _read_csv(out)
+        assert row[-1] == "ok" and float(row[5]) < 0.1
+
     def test_small_full_run_errors_below_one(self, tmp_path):
         out = str(tmp_path / "five.csv")
         assert main(
@@ -197,6 +207,23 @@ class TestConfigFile:
         assert main(["matfun", "--config", str(cfg), "--m", "2,3", "--out", out2]) == 0
         _, _, rows2 = _read_csv(out2)
         assert len(rows2) == 4  # flag overrides the file's m
+
+    def test_file_names_a_value_by_flag_or_field(self, tmp_path):
+        for key in ("m", "m_list"):
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"gallery=rot2\nn=60\np=2\n{key}=2,3\nfuncs=exp\nrepeat=1\n")
+            out = str(tmp_path / f"{key}.csv")
+            assert main(["matfun", "--config", str(cfg), "--methods", "ebh", "--out", out]) == 0
+            comments, _, rows = _read_csv(out)
+            assert any("m_list=2,3" in c for c in comments)
+            assert len(rows) == 2
+
+    def test_bad_value_is_bad_config(self, tmp_path, capsys):
+        cfg = tmp_path / "val.cfg"
+        cfg.write_text("gallery=rot2\nn=sixty\n")
+        rc = main(["matfun", "--config", str(cfg), "--out", str(tmp_path / "v.csv")])
+        assert rc == 2
+        assert "sixty" in capsys.readouterr().err
 
     def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from ebhess import matfun
@@ -41,11 +40,28 @@ class TestSqrtmLogm:
         X = sqrtm(M)
         assert np.linalg.norm(X @ X - M) <= 1e-9 * np.linalg.norm(M)
 
-    def test_sqrt_matches_scipy(self):
+    @staticmethod
+    def _nonnormal_complex_pairs():
+        # Real, nonnormal, eigenvalues 1 +- 2i and 3 +- i: off the cut, so the
+        # principal square root and logarithm are real.
         rng = np.random.default_rng(2)
-        M = rng.standard_normal((7, 7))
-        M = M @ M.T + 7 * np.eye(7)
-        assert_allclose(sqrtm(M), sla.sqrtm(M), atol=1e-10)
+        D = np.array([[1.0, 2.0, 0.0, 0.0], [-2.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 3.0, 1.0], [0.0, 0.0, -1.0, 3.0]])
+        D[:2, 2:] = 3.0 * rng.standard_normal((2, 2))
+        P = np.eye(4) + 0.5 * rng.standard_normal((4, 4))
+        M = P @ D @ np.linalg.inv(P)
+        w = np.linalg.eigvals(M)
+        assert (np.abs(w.imag) > 0.5).all()
+        assert np.linalg.norm(M @ M.T - M.T @ M) > 1.0
+        return M
+
+    def test_sqrt_of_real_nonnormal(self):
+        M = self._nonnormal_complex_pairs()
+        X = sqrtm(M)
+        assert np.isrealobj(X)
+        assert np.linalg.norm(X @ X - M) <= 1e-12 * np.linalg.norm(M)
+        # principal: the spectrum of X lies in the open right half-plane
+        assert (np.linalg.eigvals(X).real > 0).all()
 
     def test_log_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -53,11 +69,29 @@ class TestSqrtmLogm:
         M *= 0.8 / np.linalg.norm(M, 2)
         assert np.linalg.norm(logm(expm(M)) - M) <= 1e-11
 
-    def test_log_matches_scipy(self):
-        rng = np.random.default_rng(4)
-        M = rng.standard_normal((7, 7))
-        M = M @ M.T + 9 * np.eye(7)
-        assert_allclose(logm(M), sla.logm(M), atol=1e-10)
+    def test_log_of_real_nonnormal(self):
+        M = self._nonnormal_complex_pairs()
+        L = logm(M)
+        assert np.isrealobj(L)
+        assert np.linalg.norm(expm(L) - M) <= 1e-12 * np.linalg.norm(M)
+        # principal: the imaginary parts of the eigenvalues lie in (-pi, pi)
+        assert (np.abs(np.linalg.eigvals(L).imag) < np.pi).all()
+
+    @pytest.mark.parametrize("name", ["sqrtm", "logm"])
+    def test_kernel_result_rules(self, monkeypatch, name):
+        # A roundoff imaginary part is dropped, a larger one kept, and a
+        # non-finite result is the typed Overflow.
+        kernel = getattr(matfun, name)
+        M = np.diag([4.0, 9.0])
+        for fake, want in ((np.diag([2.0, 3.0]) + 1e-17j, np.diag([2.0, 3.0])),
+                           (np.diag([2.0, 3.0]) + 1e-3j, np.diag([2.0, 3.0]) + 1e-3j)):
+            monkeypatch.setattr(matfun.sla, name, lambda A, _F=fake: _F)
+            got = kernel(M)
+            assert np.iscomplexobj(got) == np.iscomplexobj(want)
+            assert_allclose(got, want)
+        monkeypatch.setattr(matfun.sla, name, lambda A: np.full((2, 2), np.inf))
+        with pytest.raises(Overflow):
+            kernel(M)
 
     def test_branch_cut_errors(self):
         for spec in (FunctionSpec.sqrt(), FunctionSpec.log()):
@@ -65,8 +99,7 @@ class TestSqrtmLogm:
                 funm(spec, np.diag([-1.0, 2.0]))
 
     def test_logm_checks_branch_once(self, monkeypatch):
-        # The square roots inside logm act on matrices already clear of the
-        # cut; only the argument itself is checked.
+        # Each kernel checks its argument's spectrum once, then calls scipy.
         calls = []
         check = matfun._check_branch
 
@@ -77,7 +110,7 @@ class TestSqrtmLogm:
         monkeypatch.setattr(matfun, "_check_branch", counted)
         rng = np.random.default_rng(5)
         B = rng.standard_normal((6, 6))
-        logm(B @ B.T + 40 * np.eye(6))  # needs several square roots
+        logm(B @ B.T + 40 * np.eye(6))
         assert calls == ["logm"]
         sqrtm(np.diag([4.0, 9.0]))
         assert calls == ["logm", "sqrtm"]

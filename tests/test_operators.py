@@ -215,6 +215,12 @@ class TestGallery:
             op = gallery(GallerySpec("rot2_blockdiag", size=n))
             a = (2.0 * np.arange(1, n // 2 + 1) - 1.0) / (n + 1.0)
             assert op.mu2() == pytest.approx(a.max(), rel=1e-12)
+        # tridiag_scaled is banded, so it takes LAPACK's banded eigensolver.
+        n = 5000
+        op = gallery(GallerySpec("tridiag_scaled", size=n))
+        want = n**2 * (2.0 - 2.0 * np.cos(n * np.pi / (n + 1)))
+        assert op.structure == "banded"
+        assert op.mu2() == pytest.approx(want, rel=1e-12)
 
     def test_mu2_power_iteration_fallback(self):
         # the Lanczos route is only reached above the dense limit; exercise
@@ -277,6 +283,13 @@ class TestMatrixMarket:
         with pytest.raises(ParseError):
             read_matrix_market(path)
 
+    def test_blank_line_in_entries_is_skipped(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n\n2 2 2.0\n",
+        )
+        assert_allclose(read_matrix_market(path).matrix.toarray(), np.diag([1.0, 2.0]))
+
     def test_unsupported_field(self, tmp_path):
         for field in ("complex", "pattern"):
             path = self._write(
@@ -298,6 +311,15 @@ class TestMatrixMarket:
                     name="oob.mtx",
                 )
             )
+        for entry, name in (("1 1 1.0abc", "junk.mtx"), ("1 1 1.0 5", "extra.mtx")):
+            with pytest.raises(ParseError):
+                read_matrix_market(
+                    self._write(
+                        tmp_path,
+                        f"%%MatrixMarket matrix coordinate real general\n2 2 1\n{entry}\n",
+                        name=name,
+                    )
+                )
 
 
 class TestFlopEstimate:
