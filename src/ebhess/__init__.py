@@ -6,13 +6,12 @@ from .approx import (
     ApproxResult,
     exact_dense,
     exp_error_bound,
-    initial_block_angle,
     mf_eba,
     mf_ebh,
     reference_matfun,
     tridiag_reference,
 )
-from .dense import PivotedLUFactor, eig_dense, norms, pivot_block_solve, plu_factor
+from .dense import PivotedLUFactor, pivot_block_solve, plu_factor
 from .eba import OrthoBasis, eba_run
 from .ebh import (
     ExtendedBasis,
@@ -52,7 +51,6 @@ __all__ = [
     "build_T_direct",
     "eba_run",
     "ebha_run",
-    "eig_dense",
     "errors",
     "exact_dense",
     "exp_error_bound",
@@ -60,13 +58,11 @@ __all__ = [
     "flop_estimate",
     "funm",
     "gallery",
-    "initial_block_angle",
     "laurent_apply",
     "left_apply",
     "logm",
     "mf_eba",
     "mf_ebh",
-    "norms",
     "pivot_block_solve",
     "plu_factor",
     "projection_gap",

@@ -8,19 +8,16 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .dense import SMALL_DIM_LIMIT, norms
+from .dense import SMALL_DIM_LIMIT, as_block
 from .ebh import build_T, ebha_run
 from .eba import eba_run
 from .errors import AssumptionViolated, DimensionMismatch, Overflow
 from .matfun import expm, funm
 
-
-def _as_block(V):
-    V = np.asarray(V, dtype=float)
-    return V[:, None] if V.ndim == 1 else V
+# Points of [0, 1] at which exp_error_bound samples its coupling term.
+_BOUND_GRID = 65
 
 
 @dataclass
@@ -30,41 +27,45 @@ class ApproxResult:
     approximation: np.ndarray
     m: int
     relative_error: float | None = None
-    bound: float | None = None
     wall_time: float = 0.0
 
 
-def _finish(app, m, reference, t0, bound=None):
-    rel = None
-    if reference is not None:
-        denom = np.linalg.norm(reference)
-        rel = float(np.linalg.norm(app - reference) / max(denom, np.finfo(float).tiny))
-    return ApproxResult(app, m, rel, bound, time.perf_counter() - t0)
+def _relative_error(app, reference):
+    # Both arrays are divided by the power of two just above max|reference|:
+    # exact in floating point, so the ratio is unchanged, and a reference
+    # with finite entries whose norm overflows still gives a number.
+    peak = np.abs(reference).max(initial=0.0)
+    scale = np.ldexp(1.0, np.frexp(peak)[1]) if 0.0 < peak < np.inf else 1.0
+    with np.errstate(all="ignore"):
+        rel = np.linalg.norm(app / scale - reference / scale) / max(
+            np.linalg.norm(reference / scale), np.finfo(float).tiny)
+    if not np.isfinite(rel):
+        raise Overflow("relative error is not finite")
+    return float(rel)
 
 
-def mf_ebh(A, V, m, spec, *, reference=None, compute_bound=False,
-           joint_start=False, reorthogonalize=False):
+def _finish(app, m, reference, t0):
+    rel = None if reference is None else _relative_error(app, reference)
+    return ApproxResult(app, m, rel, time.perf_counter() - t0)
+
+
+def mf_ebh(A, V, m, spec, *, reference=None):
     """Approximate f(A)V with the pivoted extended block Hessenberg method.
 
-    ``reference`` (the exact value, when affordable) fills ``relative_error``;
-    ``compute_bound`` additionally evaluates the a-priori exp error bound
-    (exp only, needs a dissipative operator).
+    ``reference`` (the exact value, when affordable) fills ``relative_error``.
     """
-    V = _as_block(V)
+    V = as_block(V)
     t0 = time.perf_counter()
-    basis = ebha_run(A, V, m, joint_start=joint_start, reorthogonalize=reorthogonalize)
+    basis = ebha_run(A, V, m)
     proj = build_T(basis)
     F = funm(spec, proj.T)
     app = basis.matrix(2 * m) @ (F[:, : basis.p] @ proj.gamma11)
-    bound = None
-    if compute_bound and spec.tag == "exp":
-        bound, _, _ = exp_error_bound(A, basis, proj)
-    return _finish(app, m, reference, t0, bound)
+    return _finish(app, m, reference, t0)
 
 
 def mf_eba(A, V, m, spec, *, reference=None):
     """Approximate f(A)V with the extended block Arnoldi baseline."""
-    V = _as_block(V)
+    V = as_block(V)
     t0 = time.perf_counter()
     basis = eba_run(A, V, m)
     F = funm(spec, basis.T_arnoldi)
@@ -81,7 +82,7 @@ def exact_dense(A_small, V, spec, small_dim_limit=SMALL_DIM_LIMIT):
         raise DimensionMismatch(
             f"n={A_small.shape[0]} exceeds small_dim_limit {small_dim_limit}"
         )
-    V = _as_block(V)
+    V = as_block(V)
     return funm(spec, A_small) @ V
 
 
@@ -94,7 +95,7 @@ def rot2_reference(A, V, spec):
     if A.rot2 is None:
         raise DimensionMismatch("operator does not carry 2x2 block-diagonal structure")
     a, c = A.rot2
-    V = _as_block(V)
+    V = as_block(V)
     w = spec.scalar_eval(a + 1j * c)
     u, v = np.real(w), np.imag(w)
     Ve, Vo = V[0::2], V[1::2]
@@ -124,11 +125,11 @@ def tridiag_reference(A, V, spec):
         raise Overflow("tridiag_reference: f is not finite on the spectrum")
     from scipy.fft import dst  # imported here: it adds ~40% to `import ebhess`
 
-    W = dst(_as_block(V), type=1, norm="ortho", axis=0)
+    W = dst(as_block(V), type=1, norm="ortho", axis=0)
     return dst(f[:, None] * W, type=1, norm="ortho", axis=0)
 
 
-def reference_matfun(A, V, spec, small_dim_limit=SMALL_DIM_LIMIT):
+def reference_matfun(A, V, spec):
     """Best available exact value of f(A)V: blockwise for rot2 operators,
     sine transforms for the scaled 1-D Laplacian, dense evaluation below the
     small-dimension limit, :class:`DimensionMismatch` otherwise."""
@@ -136,16 +137,16 @@ def reference_matfun(A, V, spec, small_dim_limit=SMALL_DIM_LIMIT):
         return rot2_reference(A, V, spec)
     if _is_scaled_laplacian(A):
         return tridiag_reference(A, V, spec)
-    return exact_dense(A.to_dense(small_dim_limit), V, spec, small_dim_limit)
+    return exact_dense(A.to_dense(), V, spec)
 
 
-def exp_error_bound(A, basis, proj, grid=65):
+def exp_error_bound(A, basis, proj):
     """A-priori bound on the exp approximation error for dissipative A.
 
     Requires mu2 = lambda_max((A + A^T)/2) <= 0.  Returns
     ``(bound, coupling_norm, mu2)``.  The error admits an integral
     representation over exp(s T) for s in [0, 1], so the coupling constant is
-    the maximum over that interval (sampled on ``grid`` points) of the
+    the maximum over that interval (sampled on 65 points) of the
     spectral norm of the trailing-block term; the bound multiplies it by
     (1 - e^mu2)/(-mu2), with the limit value 1 at mu2 = 0.  Taking the
     trailing term at s = 1 alone is not an upper bound.
@@ -156,22 +157,10 @@ def exp_error_bound(A, basis, proj, grid=65):
     p = proj.p
     V_next = basis.blocks[2 * basis.m]
     coupling = 0.0
-    for s in np.linspace(0.0, 1.0, grid):
+    for s in np.linspace(0.0, 1.0, _BOUND_GRID):
         E = expm(s * proj.T)
         core = proj.tau @ (E[-2 * p :, :p] @ proj.gamma11)
-        coupling = max(coupling, norms(V_next @ core)[1])
+        coupling = max(coupling, float(np.linalg.norm(V_next @ core, 2)))
     factor = 1.0 if mu == 0.0 else float(np.expm1(mu) / mu)
     return coupling * factor, coupling, mu
 
-
-def initial_block_angle(A, V):
-    """Largest principal angle between the sequential and joint two-block starts.
-
-    Parity diagnostic: both startup paths must span the same subspace, so the
-    angle should sit at roundoff level.
-    """
-    V = _as_block(V)
-    seq = ebha_run(A, V, 1, joint_start=False)
-    joint = ebha_run(A, V, 1, joint_start=True)
-    angles = sla.subspace_angles(seq.matrix(2), joint.matrix(2))
-    return float(angles.max()) if angles.size else 0.0

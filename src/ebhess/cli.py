@@ -119,11 +119,15 @@ def make_operator(config):
 
 
 def _reference(config, A, V, spec):
+    """Exact f(A)V and None, or None and the name of the error that stopped it
+    (say an overflowing exp), which then marks that function's output."""
     try:  # approx.reference_matfun decides which exact reference applies
-        return reference_matfun(A, V, spec)
+        return reference_matfun(A, V, spec), None
     except DimensionMismatch as exc:
         hint = "; rerun with --no-rel-err" if config.command == "matfun" else ""
         raise BadConfig(f"n={A.n} too large for the dense reference{hint}") from exc
+    except EbhessError as exc:
+        return None, type(exc).__name__
 
 
 def _timed(fn, repeat):
@@ -142,10 +146,13 @@ def run_matfun_table(config):
     rows = []
     for fname in config.funcs:
         spec = FunctionSpec.from_name(fname)
-        reference = _reference(config, A, V, spec) if config.rel_err else None
+        reference, failed = _reference(config, A, V, spec) if config.rel_err else (None, None)
         for method in config.methods:
             driver = mf_ebh if method == "ebh" else mf_eba
             for m in config.m_list:
+                if failed:
+                    rows.append((fname, method.upper(), m, None, None, None, failed))
+                    continue
                 try:
                     result, t_med, t_mean = _timed(
                         lambda: driver(A, V, m, spec, reference=reference),
@@ -222,9 +229,12 @@ def run_curves(config):
     paths = []
     for fname in config.funcs:
         spec = FunctionSpec.from_name(fname)
-        reference = _reference(config, A, V, spec)
+        reference, failed = _reference(config, A, V, spec)
         series = []
         for m in range(1, config.m_max + 1):
+            if failed:
+                series.append((m, failed))
+                continue
             try:
                 res = mf_ebh(A, V, m, spec, reference=reference)
                 series.append((m, res.relative_error))

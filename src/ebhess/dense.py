@@ -1,4 +1,4 @@
-"""Dense kernels: two-output pivoted LU, pivot-row solves, eigendecompositions, norms.
+"""Dense kernels: two-output pivoted LU and pivot-row solves.
 
 Blocks are plain float64 ndarrays.  The two-output pivoted LU returns the
 *permuted* unit lower trapezoidal factor together with the rows that carry
@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DimensionMismatch, NoConvergence, RankDeficient, SingularPivotBlock
+from .errors import DimensionMismatch, RankDeficient, SingularPivotBlock
 
-# Eigendecompositions are meant for projected matrices and desk-scale oracles.
+# Dense evaluation is meant for projected matrices and desk-scale oracles.
 SMALL_DIM_LIMIT = 4096
 
 # Relative pivot threshold under which a column counts as rank deficient.
@@ -36,29 +36,24 @@ class PivotedLUFactor:
     column_max: np.ndarray
 
 
-def _as_block(M, name="matrix"):
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 1:
-        M = M[:, None]
-    if M.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-dimensional")
-    if not np.isfinite(M).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return M
+def as_block(B):
+    """``B`` as a float array, a 1-D vector as one column."""
+    B = np.asarray(B, dtype=float)
+    return B[:, None] if B.ndim == 1 else B
 
 
-def plu_factor(M, breakdown_tol=BREAKDOWN_TOL):
+def plu_factor(M):
     """Pivoted LU with the permuted lower factor kept in original row order.
 
-    Parameters
-    ----------
-    M : (n, p) array_like, n >= p
-        Block to factor.
-    breakdown_tol : float
-        A pivot of magnitude below ``breakdown_tol * max|column|`` raises
-        :class:`RankDeficient`, signalling breakdown to the caller.
+    ``M`` is an (n, p) block with n >= p.  A pivot of magnitude below
+    ``BREAKDOWN_TOL * max|column|`` raises :class:`RankDeficient`,
+    signalling breakdown to the caller.
     """
-    M = _as_block(M)
+    M = as_block(M)
+    if M.ndim != 2:
+        raise DimensionMismatch("matrix must be 2-dimensional")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix contains non-finite entries")
     n, p = M.shape
     if n < p or p == 0:
         raise DimensionMismatch(f"need rows >= cols >= 1, got {n}x{p}")
@@ -70,7 +65,7 @@ def plu_factor(M, breakdown_tol=BREAKDOWN_TOL):
     getrf, = sla.get_lapack_funcs(("getrf",), (lu,))
     lu, piv, _ = getrf(lu, overwrite_a=1)
     diag = np.abs(np.diag(lu[:p, :p]))
-    bad = diag <= breakdown_tol * np.maximum(colmax, np.finfo(float).tiny)
+    bad = diag <= BREAKDOWN_TOL * np.maximum(colmax, np.finfo(float).tiny)
     if bad.any():
         raise RankDeficient(int(np.argmax(bad)))
     U = np.triu(lu[:p, :])
@@ -109,53 +104,3 @@ def pivot_block_solve(Vk, pk, W):
     if d.min() <= np.finfo(float).eps * max(d.max(), np.finfo(float).tiny) * p:
         raise SingularPivotBlock("pivot submatrix singular to working precision")
     return sla.lu_solve((lu, piv), W[pk, :])
-
-
-def eig_dense(M, small_dim_limit=SMALL_DIM_LIMIT):
-    """Eigendecomposition of a small square matrix.
-
-    Returns ``(eigenvalues, eigenvectors, condition_estimate)`` where the
-    condition estimate is the 2-norm condition number of the eigenvector
-    basis.  Restricted to ``small_dim_limit`` to reject misuse on large
-    operators.
-    """
-    M = _as_block(M)
-    if M.shape[0] != M.shape[1]:
-        raise DimensionMismatch("eig_dense expects a square matrix")
-    if M.shape[0] > small_dim_limit:
-        raise DimensionMismatch(
-            f"matrix dimension {M.shape[0]} exceeds small_dim_limit {small_dim_limit}"
-        )
-    try:
-        w, X = np.linalg.eig(M)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    cond = float(np.linalg.cond(X))
-    return w, X, cond
-
-
-def norms(M):
-    """Return ``(frobenius, spectral)`` norms of ``M``.
-
-    The spectral norm uses a deterministically started Lanczos iteration
-    (ARPACK); plain power iteration stalls when the leading singular values
-    cluster, which the inverse of the Toeplitz gallery operator does badly
-    enough to break the 1e-8 accuracy contract.  Matrices with a tiny side
-    go through the direct SVD.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 1:
-        M = M[:, None]
-    fro = float(np.linalg.norm(M))
-    if fro == 0.0:
-        return 0.0, 0.0
-    if min(M.shape) <= 8:
-        return fro, float(np.linalg.svd(M, compute_uv=False)[0])
-    import scipy.sparse.linalg as spla
-
-    v0 = np.random.default_rng(0x5EED).standard_normal(M.shape[0])
-    try:
-        s = spla.svds(M, k=1, v0=v0, tol=0, return_singular_vectors=False)
-        return fro, float(s[0])
-    except spla.ArpackError:
-        return fro, float(np.linalg.norm(M, 2))

@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ebh import BlockStore
-from .errors import Breakdown, DimensionMismatch
+from .dense import BREAKDOWN_TOL
+from .ebh import BlockStore, start_block
+from .errors import Breakdown
 
 
 @dataclass
@@ -29,11 +30,11 @@ class OrthoBasis(BlockStore):
     lambda11: np.ndarray = field(repr=False)
 
 
-def _qr_normalize(W, step, rank_tol=1e-13):
+def _qr_normalize(W, step):
     scale = np.abs(W).max(initial=0.0)
     Q, R = np.linalg.qr(W)
     d = np.abs(np.diag(R))
-    if scale == 0.0 or d.min() <= rank_tol * scale * W.shape[0]:
+    if scale == 0.0 or d.min() <= BREAKDOWN_TOL * scale * W.shape[0]:
         raise Breakdown(step)
     return Q, R
 
@@ -46,17 +47,7 @@ def eba_run(A, V, m):
     basis-transposed product with A applied to the basis, masked to its block
     upper Hessenberg pattern.
     """
-    V = np.asarray(V, dtype=float)
-    if V.ndim == 1:
-        V = V[:, None]
-    n, p = V.shape
-    if n != A.n:
-        raise DimensionMismatch(f"V has {n} rows, operator is {A.n}")
-    if 2 * (m + 1) * p > n:
-        raise DimensionMismatch(f"2(m+1)p = {2 * (m + 1) * p} exceeds n = {n}")
-    if m < 1:
-        raise DimensionMismatch("need at least one step")
-
+    V, n, p = start_block(A, V, m)
     U1, lam11 = _qr_normalize(V, 1)
     store = np.empty((n, (2 * m + 2) * p), order="F")
 
@@ -69,7 +60,7 @@ def eba_run(A, V, m):
         Ub = store[:, : k * p]
         W = W - Ub @ (Ub.T @ W)
         W = W - Ub @ (Ub.T @ W)  # one full reorthogonalization pass
-        if np.abs(W).max(initial=0.0) <= 1e-13 * raw_scale:
+        if np.abs(W).max(initial=0.0) <= BREAKDOWN_TOL * raw_scale:
             raise Breakdown(k + 1)
         Q, _ = _qr_normalize(W, k + 1)
         block(k)[...] = Q

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import pivot_block_solve, plu_factor
+from .dense import BREAKDOWN_TOL, as_block, pivot_block_solve, plu_factor
 from .errors import Breakdown, DimensionMismatch, RankDeficient, SingularCoefficient
 
 
@@ -71,8 +71,7 @@ class ProjectedData:
 
     ``T`` is the 2mp x 2mp projection of A onto the basis (block upper
     Hessenberg with 2p x 2p blocks); ``tau`` is the p x 2p trailing block
-    coupling the basis to V_{2m+1}; ``S_tail`` (filled by :func:`build_S`)
-    couples the inverse projection to the last two blocks.
+    coupling the basis to V_{2m+1}.
     """
 
     T: np.ndarray
@@ -80,10 +79,23 @@ class ProjectedData:
     gamma11: np.ndarray
     p: int
     m: int
-    S_tail: np.ndarray | None = None
 
 
-def ebha_run(A, V, m, *, joint_start=False, reorthogonalize=False):
+def start_block(A, V, m):
+    """Check the starting block of an m-step extended process; return it as
+    a float (n, p) array with n and p."""
+    V = as_block(V)
+    n, p = V.shape
+    if n != A.n:
+        raise DimensionMismatch(f"V has {n} rows, operator is {A.n}")
+    if 2 * (m + 1) * p > n:
+        raise DimensionMismatch(f"2(m+1)p = {2 * (m + 1) * p} exceeds n = {n}")
+    if m < 1:
+        raise DimensionMismatch("need at least one step")
+    return V, n, p
+
+
+def ebha_run(A, V, m):
     """Run m steps of the pivoted extended block Hessenberg process.
 
     Parameters
@@ -94,13 +106,6 @@ def ebha_run(A, V, m, *, joint_start=False, reorthogonalize=False):
         Full column rank starting block; 2(m+1)p <= n is required.
     m : int
         Number of steps; 2m+2 basis blocks are produced.
-    joint_start : bool
-        Factor [V, A^{-1}V] in a single 2p-column pivoted LU instead of
-        building the second block sequentially.  Both spans agree; the
-        sequential path is the default.
-    reorthogonalize : bool
-        Run a second oblique-projection pass per step, folding the correction
-        into the stored coefficients.  Off by default.
 
     Raises
     ------
@@ -108,19 +113,8 @@ def ebha_run(A, V, m, *, joint_start=False, reorthogonalize=False):
         When a candidate block is rank deficient (the extended space is
         exhausted); ``step`` carries the 1-based index of the failing block.
     """
-    V = np.asarray(V, dtype=float)
-    if V.ndim == 1:
-        V = V[:, None]
-    n, p = V.shape
-    if n != A.n:
-        raise DimensionMismatch(f"V has {n} rows, operator is {A.n}")
-    if 2 * (m + 1) * p > n:
-        raise DimensionMismatch(f"2(m+1)p = {2 * (m + 1) * p} exceeds n = {n}")
-    if m < 1:
-        raise DimensionMismatch("need at least one step")
-
+    V, n, p = start_block(A, V, m)
     used = np.zeros(n, dtype=bool)
-    breakdown_tol = 1e-13
 
     def normalize(W, step, raw_scale=None):
         try:
@@ -132,7 +126,7 @@ def ebha_run(A, V, m, *, joint_start=False, reorthogonalize=False):
         # happy-breakdown signal, even though the leftover roundoff noise
         # would pass a test relative to its own columns.
         if raw_scale is not None and (
-            f.column_max <= breakdown_tol * max(raw_scale, np.finfo(float).tiny)
+            f.column_max <= BREAKDOWN_TOL * max(raw_scale, np.finfo(float).tiny)
         ).any():
             raise Breakdown(step)
         if used[f.pivot_rows].any():
@@ -156,19 +150,12 @@ def ebha_run(A, V, m, *, joint_start=False, reorthogonalize=False):
         # The p x p pivot block is unit lower triangular by construction.
         pivot_blocks.append(np.asfortranarray(block[pn, :]))
 
-    if joint_start:
-        PL, G, piv = normalize(np.hstack([V, A.solve(V)]), 2)
-        g11, g12, g22 = G[:p, :p], G[:p, p:], G[p:, p:]
-        append(PL[:, :p], piv[:p])
-        append(PL[:, p:], piv[p:])
-    else:
-        V1, g11, p1 = normalize(V, 1)
-        append(V1, p1)
-        AinvV = A.solve(V)
-        g12 = pivot_block_solve(V1, p1, AinvV)
-        Vt2 = AinvV - V1 @ g12
-        V2, g22, p2 = normalize(Vt2, 2, np.abs(AinvV).max())
-        append(V2, p2)
+    V1, g11, p1 = normalize(V, 1)
+    append(V1, p1)
+    AinvV = A.solve(V)
+    g12 = pivot_block_solve(V1, p1, AinvV)
+    V2, g22, p2 = normalize(AinvV - V1 @ g12, 2, np.abs(AinvV).max())
+    append(V2, p2)
 
     H = {}
 
@@ -179,11 +166,10 @@ def ebha_run(A, V, m, *, joint_start=False, reorthogonalize=False):
         # earlier blocks (classical order) loses about 1.5 digits of the basis
         # identities.
         W = np.array(W, order="F")
-        for sweep in range(2 if reorthogonalize else 1):
-            for i in range(upto):
-                Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], lower=1, unitdiag=1)
-                W = gemm(-1.0, blocks[i], Hc, beta=1.0, c=W, overwrite_c=1)
-                H[(i + 1, col)] = H[(i + 1, col)] + Hc if sweep else Hc
+        for i in range(upto):
+            Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], lower=1, unitdiag=1)
+            W = gemm(-1.0, blocks[i], Hc, beta=1.0, c=W, overwrite_c=1)
+            H[(i + 1, col)] = Hc
         return W
 
     for j in range(1, m + 1):
@@ -209,9 +195,7 @@ def left_apply(basis, W, k_blocks):
     lower triangular pivot-row factor; applied to the basis itself this gives
     the identity.
     """
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 1:
-        W = W[:, None]
+    W = as_block(W)
     if W.shape[0] != basis.n:
         raise DimensionMismatch(f"W has {W.shape[0]} rows, basis has {basis.n}")
     if k_blocks > len(basis.blocks):
@@ -280,19 +264,16 @@ def projection_gap(basis, A):
     return float(np.linalg.norm(T - direct) / max(np.linalg.norm(direct), np.finfo(float).tiny))
 
 
-def build_S(basis, A, into=None):
+def build_S(basis, A):
     """Inverse projection of A onto the basis plus its trailing tail blocks.
 
     Returns ``(S, tail)`` where S is the 2mp x 2mp projection of A^{-1} and
     ``tail`` stacks the two p-by-p blocks coupling the last column pair to
-    V_{2m+1} and V_{2m+2}.  Pass a :class:`ProjectedData` as ``into`` to have
-    its ``S_tail`` populated.
+    V_{2m+1} and V_{2m+2}.
     """
     p, m = basis.p, basis.m
     Vb = basis.matrix(2 * m)
     full = left_apply(basis, A.solve(Vb), 2 * m + 2)
     S = full[: 2 * m * p, :]
     tail = full[2 * m * p :, (2 * m - 1) * p :]
-    if into is not None:
-        into.S_tail = tail
     return S, tail

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
+from .dense import as_block
 from .errors import (
     BranchCutViolation,
     DimensionMismatch,
@@ -269,9 +270,7 @@ def laurent_apply(coeffs, A, V):
     use the forward product, negative powers the factored inverse action.
     """
     coeffs = dict(FunctionSpec.laurent(coeffs).coeffs)
-    V = np.asarray(V, dtype=float)
-    if V.ndim == 1:
-        V = V[:, None]
+    V = as_block(V)
     out = np.zeros_like(V)
     if 0 in coeffs:
         out += coeffs[0] * V

@@ -14,7 +14,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dense import SMALL_DIM_LIMIT
+from .dense import SMALL_DIM_LIMIT, as_block
 from .errors import (
     BadDimension,
     DimensionMismatch,
@@ -28,6 +28,9 @@ from .errors import (
 # Bands at most this wide go through the LAPACK banded factorization; wider
 # patterns use sparse or dense LU depending on size.
 _BAND_CUTOFF = 16
+# Below this size a wide-band sparse operator is factored as a dense LU.
+# Routing those through splu instead moved acceptance criterion 1 past its
+# tolerance (worst V^L V identity error 1.4e-11 against the 1e-11 bound).
 _DENSE_FALLBACK_N = 2000
 
 
@@ -38,12 +41,10 @@ class GallerySpec:
     ``size`` is the matrix dimension for ``toeplitz_inv_dist``,
     ``rot2_blockdiag`` and ``tridiag_scaled``, and the number of interior
     grid points per side for the convection-diffusion problems (n = size^2).
-    ``path`` selects the file for ``matrix_market``.
     """
 
     name: str
     size: int = 0
-    path: str | None = None
 
 
 @dataclass
@@ -73,9 +74,7 @@ class FactorizedOperator:
         self._sparse = sparse_fn
 
     def _check(self, B):
-        B = np.asarray(B, dtype=float)
-        if B.ndim == 1:
-            B = B[:, None]
+        B = as_block(B)
         if B.shape[0] != self.n:
             raise DimensionMismatch(f"operand has {B.shape[0]} rows, operator is {self.n}")
         return B
@@ -92,9 +91,9 @@ class FactorizedOperator:
         """CSR view of the forward operator."""
         return self._sparse()
 
-    def to_dense(self, limit=SMALL_DIM_LIMIT):
-        if self.n > limit:
-            raise DimensionMismatch(f"refusing to densify n={self.n} > {limit}")
+    def to_dense(self):
+        if self.n > SMALL_DIM_LIMIT:
+            raise DimensionMismatch(f"refusing to densify n={self.n} > {SMALL_DIM_LIMIT}")
         return np.asarray(self.to_sparse().todense())
 
     def mu2(self):
@@ -342,10 +341,6 @@ def gallery(spec):
         return convdiff(spec.size, 1)
     if name == "convdiff_l2":
         return convdiff(spec.size, 2)
-    if name == "matrix_market":
-        if not spec.path:
-            raise BadDimension("matrix_market gallery needs a file path")
-        return FactorizedOperator.from_sparse(read_matrix_market(spec.path).matrix)
     raise UnknownGallery(spec.name)
 
 

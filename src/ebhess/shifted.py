@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import pivot_block_solve, plu_factor
+from .dense import as_block, pivot_block_solve, plu_factor
 from .ebh import build_T, ebha_run, left_apply
 from .errors import (
     Breakdown,
@@ -41,9 +41,7 @@ class ShiftedProblem:
     max_restarts: int = 20
 
     def __post_init__(self):
-        self.C = np.asarray(self.C, dtype=float)
-        if self.C.ndim == 1:
-            self.C = self.C[:, None]
+        self.C = as_block(self.C)
         self.shifts = np.atleast_1d(np.asarray(self.shifts, dtype=float))
         if self.eps <= 0:
             raise ValueError("eps must be positive")
@@ -87,12 +85,7 @@ class CycleRecord:
 
 def residual_direct(A, C, sigma, X):
     """Frobenius norm of C - (A + sigma I) X computed explicitly (audit path)."""
-    C = np.asarray(C, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if C.ndim == 1:
-        C = C[:, None]
-    if X.ndim == 1:
-        X = X[:, None]
+    C, X = as_block(C), as_block(X)
     return float(np.linalg.norm(C - (A.apply(X) + sigma * X)))
 
 

@@ -85,6 +85,22 @@ class TestMatfunCommand:
             assert r[-1] == "ok"
             assert float(r[5]) < 1.0
 
+    def test_overflowing_reference_marks_only_its_function(self, tmp_path):
+        # exp of n^2 tridiag(-1, 2, -1) overflows at n = 500; sqrt does not.
+        common = ["--gallery", "tridiag", "--n", "500", "--p", "5", "--funcs", "sqrt,exp",
+                  "--repeat", "1"]
+        out = str(tmp_path / "t.csv")
+        assert main(["matfun"] + common + ["--m", "10", "--methods", "ebh", "--out", out]) == 0
+        _, _, (sqrt_row, exp_row) = _read_csv(out)
+        assert sqrt_row[0] == "sqrt" and sqrt_row[-1] == "ok" and float(sqrt_row[5]) < 1.0
+        assert exp_row == ["exp", "EBH", "10", "", "", "", "Overflow"]
+
+        curves = str(tmp_path / "c.dat")
+        assert main(["curves"] + common + ["--m-max", "2", "--out", curves]) == 0
+        lines = [l.strip() for l in open(str(tmp_path / "c_exp.dat")) if l.startswith("# m=")]
+        assert lines == ["# m=1 skipped: Overflow", "# m=2 skipped: Overflow"]
+        assert (tmp_path / "c_sqrt.dat").exists()
+
     def test_matrix_market_input(self, tmp_path):
         rng = np.random.default_rng(0)
         S = sp.csr_matrix(rng.standard_normal((30, 30)) * (rng.random((30, 30)) < 0.2))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ebhess import eig_dense, norms, pivot_block_solve, plu_factor
+from ebhess import pivot_block_solve, plu_factor
 from ebhess.errors import DimensionMismatch, RankDeficient, SingularPivotBlock
 
 
@@ -139,48 +139,3 @@ class TestPivotBlockSolve:
         with pytest.raises(DimensionMismatch):
             pivot_block_solve(Vk, [0, 9], np.ones((4, 2)))
 
-
-class TestEigDense:
-    def test_diagonal(self):
-        w, X, cond = eig_dense(np.diag([1.0, 2.0, 3.0]))
-        assert_allclose(sorted(w.real), [1, 2, 3])
-        assert_allclose(np.abs(X), np.eye(3)[np.argsort(w.real)].T @ np.eye(3), atol=1e-14)
-        assert cond == pytest.approx(1.0)
-
-    def test_rotation_generator(self):
-        w, _, _ = eig_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert_allclose(sorted(w.imag), [-1.0, 1.0], atol=1e-14)
-        assert_allclose(w.real, 0.0, atol=1e-14)
-
-    def test_residual_oracle(self):
-        rng = np.random.default_rng(3)
-        M = rng.standard_normal((8, 8))
-        w, X, _ = eig_dense(M)
-        assert np.linalg.norm(M @ X - X @ np.diag(w)) <= 1e-10 * np.linalg.norm(M)
-
-    def test_size_guard(self):
-        with pytest.raises(DimensionMismatch):
-            eig_dense(np.eye(5), small_dim_limit=4)
-        with pytest.raises(DimensionMismatch):
-            eig_dense(np.ones((2, 3)))
-
-
-class TestNorms:
-    def test_identity(self):
-        fro, spec = norms(np.eye(2))
-        assert fro == pytest.approx(np.sqrt(2))
-        assert spec == pytest.approx(1.0, rel=1e-8)
-
-    def test_diag(self):
-        fro, spec = norms(np.diag([3.0, 4.0]))
-        assert fro == pytest.approx(5.0)
-        assert spec == pytest.approx(4.0, rel=1e-8)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_against_svd(self, seed):
-        M = np.random.default_rng(seed).standard_normal((20, 5))
-        _, spec = norms(M)
-        assert spec == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-8)
-
-    def test_zero(self):
-        assert norms(np.zeros((3, 3))) == (0.0, 0.0)
