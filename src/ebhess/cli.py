@@ -62,8 +62,7 @@ class RunConfig:
                    "methods", "rel_err", "seed", "repeat"),
         "shifted": ("gallery", "input", "n", "grid", "p", "m_list", "shifts",
                     "eps", "max_restarts", "seed", "repeat"),
-        "curves": ("gallery", "input", "n", "grid", "p", "m_max", "funcs",
-                   "seed", "repeat"),
+        "curves": ("gallery", "input", "n", "grid", "p", "m_max", "funcs", "seed"),
         "flops": ("n", "p", "m_list", "nnz", "seed"),
     }
 
@@ -358,7 +357,6 @@ def _add_common(sub):
     sub.add_argument("--grid", type=int, help="interior grid points per side for convdiff (n = grid^2)")
     sub.add_argument("--p", type=int, help="block width (default 5)")
     sub.add_argument("--seed", type=int, help="PRNG seed for the random block (default 0)")
-    sub.add_argument("--repeat", type=int, help="timing repetitions (default 10)")
     sub.add_argument("--out", help="output CSV path")
     sub.add_argument("--config", help="key=value file with defaults; flags win")
 
@@ -372,6 +370,7 @@ def build_parser():
 
     matfun = subs.add_parser("matfun", help="approximation table for f(A)V")
     _add_common(matfun)
+    matfun.add_argument("--repeat", type=int, help="timing repetitions (default 10)")
     matfun.add_argument("--m", dest="m_list", help="comma-separated step counts, e.g. 10,15")
     matfun.add_argument("--funcs", help=f"comma-separated functions from: {','.join(FUNC_NAMES)}")
     matfun.add_argument("--methods", help="comma-separated methods: ebh,eba")
@@ -380,6 +379,7 @@ def build_parser():
 
     shifted = subs.add_parser("shifted", help="restarted shifted-system table")
     _add_common(shifted)
+    shifted.add_argument("--repeat", type=int, help="timing repetitions (default 10)")
     shifted.add_argument("--m", dest="m_list", help="comma-separated cycle lengths, e.g. 5,10")
     shifted.add_argument("--shifts", help="start:end:count, e.g. 0:5:500")
     shifted.add_argument("--eps", type=float, help="residual tolerance (default 2e-8)")

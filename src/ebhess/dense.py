@@ -52,24 +52,32 @@ def plu_factor(M):
     M = as_block(M)
     if M.ndim != 2:
         raise DimensionMismatch("matrix must be 2-dimensional")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix contains non-finite entries")
     n, p = M.shape
     if n < p or p == 0:
         raise DimensionMismatch(f"need rows >= cols >= 1, got {n}x{p}")
-    # getrf factors a Fortran-ordered copy of M in place, which becomes the
-    # lower factor (exact zero pivots, info > 0, fail the pivot test below).
-    # Column maxima are read from the copy: fast in Fortran order, no temporary.
     lu = np.array(M, order="F")
-    colmax = np.maximum(lu.max(axis=0), -lu.min(axis=0))
-    getrf, = sla.get_lapack_funcs(("getrf",), (lu,))
-    lu, piv, _ = getrf(lu, overwrite_a=1)
-    diag = np.abs(np.diag(lu[:p, :p]))
-    bad = diag <= BREAKDOWN_TOL * np.maximum(colmax, np.finfo(float).tiny)
+    return PivotedLUFactor(lu, *_plu_in_place(lu))
+
+
+def column_max(B):
+    """max |B[:, k]| per column without an ``abs`` temporary; NaN or inf give a non-finite max."""
+    return np.maximum(B.max(axis=0), -B.min(axis=0))
+
+
+def _plu_in_place(lu):
+    """:func:`plu_factor` of the Fortran-ordered block ``lu``, overwriting it with
+    the permuted unit lower factor; returns ``(upper, pivot_rows, column_max)``."""
+    p = lu.shape[1]
+    colmax = column_max(lu)
+    if not np.isfinite(colmax).all():
+        raise ValueError("matrix contains non-finite entries")
+    # getrf overwrites lu (exact zero pivots, info > 0, fail the pivot test).
+    piv = sla.get_lapack_funcs("getrf", (lu,))(lu, overwrite_a=1)[1]
+    bad = np.abs(lu.diagonal()) <= BREAKDOWN_TOL * np.maximum(colmax, np.finfo(float).tiny)
     if bad.any():
         raise RankDeficient(int(np.argmax(bad)))
-    U = np.triu(lu[:p, :])
-    lu[np.triu_indices(p)] = 0.0
+    U = np.triu(lu[:p])
+    lu[:p] = np.tril(lu[:p], -1)
     np.fill_diagonal(lu, 1.0)
     # getrf's piv is a sequence of row swaps; replaying them yields, for each
     # elimination position r, the original row perm[r] that ended up there.
@@ -79,7 +87,7 @@ def plu_factor(M):
     for i, j in enumerate(piv):
         perm[i], perm[j] = perm.get(j, j), perm.get(i, i)
     lu[list(perm.values()), :] = lu[list(perm.keys()), :]
-    return PivotedLUFactor(lu, U, np.array([perm[r] for r in range(p)]), colmax)
+    return U, np.array([perm[r] for r in range(p)]), colmax
 
 
 def pivot_block_solve(Vk, pk, W):

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import BREAKDOWN_TOL, as_block, pivot_block_solve, plu_factor
-from .errors import Breakdown, DimensionMismatch, RankDeficient, SingularCoefficient
+from .dense import BREAKDOWN_TOL, _plu_in_place, as_block, column_max, pivot_block_solve
+from .dense import plu_factor  # noqa: F401  (unused; perfbench/tracing.py patches ebh.plu_factor)
+from .errors import Breakdown, DimensionMismatch, Overflow, RankDeficient, SingularCoefficient
 
 
 class BlockStore:
@@ -107,83 +108,78 @@ def ebha_run(A, V, m):
     m : int
         Number of steps; 2m+2 basis blocks are produced.
 
+    Memory: the n x (2m+2)p store plus O(np) working memory; each candidate
+    block is projected and factored in its own slot of the store.
+
     Raises
     ------
     Breakdown
         When a candidate block is rank deficient (the extended space is
         exhausted); ``step`` carries the 1-based index of the failing block.
+    Overflow
+        When a candidate block has a NaN or inf entry; the message names it.
     """
     V, n, p = start_block(A, V, m)
     used = np.zeros(n, dtype=bool)
+    store = np.empty((n, (2 * m + 2) * p), order="F")
+    blocks = [store[:, k * p : (k + 1) * p] for k in range(2 * m + 2)]
+    pivots, pivot_blocks, H = [], [], {}
+    trtrs, = sla.get_lapack_funcs(("trtrs",), (store,))
+    gemm, = sla.get_blas_funcs(("gemm",), (store,))
 
-    def normalize(W, step, raw_scale=None):
+    def load(step, raw):
+        # Copy a raw candidate into its slot; return its scale max|raw|.
+        blocks[step - 1][...] = raw
+        scale = column_max(blocks[step - 1]).max()
+        if not np.isfinite(scale):
+            raise Overflow(f"candidate block {step} has non-finite entries")
+        return scale
+
+    def normalize(step, raw_scale=None):
+        # Factor the candidate in place into basis block ``step``; return its upper factor.
         try:
-            f = plu_factor(W)
+            upper, rows, colmax = _plu_in_place(blocks[step - 1])
         except RankDeficient as exc:
             raise Breakdown(step) from exc
+        except ValueError as exc:
+            raise Overflow(f"projected block {step} has non-finite entries") from exc
         # Compare the projected candidate against the scale it had before
         # projection: a candidate swallowed by the earlier blocks is the
         # happy-breakdown signal, even though the leftover roundoff noise
         # would pass a test relative to its own columns.
         if raw_scale is not None and (
-            f.column_max <= BREAKDOWN_TOL * max(raw_scale, np.finfo(float).tiny)
+            colmax <= BREAKDOWN_TOL * max(raw_scale, np.finfo(float).tiny)
         ).any():
             raise Breakdown(step)
-        if used[f.pivot_rows].any():
+        if used[rows].any():
             # A pivot landing on an already-used row means the candidate was
             # numerically zero on every fresh row.
             raise Breakdown(step, f"pivot rows collide at block {step}")
-        used[f.pivot_rows] = True
-        return f.permuted_unit_lower, f.upper, f.pivot_rows
-
-    store = np.empty((n, (2 * m + 2) * p), order="F")
-    blocks, pivots, pivot_blocks = [], [], []
-    trtrs, = sla.get_lapack_funcs(("trtrs",), (store,))
-    gemm, = sla.get_blas_funcs(("gemm",), (store,))
-
-    def append(Vn, pn):
-        k = len(blocks)
-        block = store[:, k * p : (k + 1) * p]
-        block[...] = Vn
-        blocks.append(block)
-        pivots.append(pn)
+        used[rows] = True
+        pivots.append(rows)
         # The p x p pivot block is unit lower triangular by construction.
-        pivot_blocks.append(np.asfortranarray(block[pn, :]))
+        pivot_blocks.append(np.asfortranarray(blocks[step - 1][rows, :]))
+        return upper
 
-    V1, g11, p1 = normalize(V, 1)
-    append(V1, p1)
-    AinvV = A.solve(V)
-    g12 = pivot_block_solve(V1, p1, AinvV)
-    V2, g22, p2 = normalize(AinvV - V1 @ g12, 2, np.abs(AinvV).max())
-    append(V2, p2)
-
-    H = {}
-
-    def project(W, col, upto):
-        # Block by block, in modified Gram-Schmidt order, on one Fortran-ordered
-        # working copy: H = L_i^{-1} W[p_i] with L_i = V_i[p_i], then
-        # W -= V_i H in place.  One block forward substitution over all
-        # earlier blocks (classical order) loses about 1.5 digits of the basis
-        # identities.
-        W = np.array(W, order="F")
-        for i in range(upto):
-            Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], lower=1, unitdiag=1)
-            W = gemm(-1.0, blocks[i], Hc, beta=1.0, c=W, overwrite_c=1)
-            H[(i + 1, col)] = Hc
-        return W
+    load(1, V)
+    g11 = normalize(1)
+    scale = load(2, A.solve(V))
+    g12 = pivot_block_solve(blocks[0], pivots[0], blocks[1])
+    gemm(-1.0, blocks[0], g12, beta=1.0, c=blocks[1], overwrite_c=1)
+    g22 = normalize(2, scale)
 
     for j in range(1, m + 1):
-        raw = A.apply(blocks[2 * j - 2])
-        W = project(raw, 2 * j - 1, 2 * j)
-        Vn, Hn, pn = normalize(W, 2 * j + 1, np.abs(raw).max())
-        H[(2 * j + 1, 2 * j - 1)] = Hn
-        append(Vn, pn)
-
-        raw = A.solve(blocks[2 * j - 1])
-        W = project(raw, 2 * j, 2 * j + 1)
-        Vn, Hn, pn = normalize(W, 2 * j + 2, np.abs(raw).max())
-        H[(2 * j + 2, 2 * j)] = Hn
-        append(Vn, pn)
+        for col, act in ((2 * j - 1, A.apply), (2 * j, A.solve)):
+            # Modified Gram-Schmidt order, block by block: H = L_i^{-1} W[p_i] with
+            # L_i = V_i[p_i], then W -= V_i H in place.  One forward substitution over
+            # all earlier blocks (classical order) loses ~1.5 digits of the identities.
+            W = blocks[col + 1]
+            scale = load(col + 2, act(blocks[col - 1]))
+            for i in range(col + 1):
+                Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], lower=1, unitdiag=1)
+                gemm(-1.0, blocks[i], Hc, beta=1.0, c=W, overwrite_c=1)
+                H[(i + 1, col)] = Hc
+            H[(col + 2, col)] = normalize(col + 2, scale)
 
     return ExtendedBasis(n, p, m, store, pivots, H, g11, g12, g22)
 

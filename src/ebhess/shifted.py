@@ -105,6 +105,9 @@ def solve_shifted(problem, observer=None):
     against the basis, and its residual coordinates and residual norms with
     one product against ``tau`` and the R factor of the next seed.
 
+    Memory: X plus one cycle's basis; the next seed is copied out, so a
+    cycle's basis is freed (unless the observer keeps it) before the next.
+
     A shift whose reduced system is singular skips the cycle and is retried
     on the next basis with its residual reduced explicitly.  ``observer``,
     when given, is called with a :class:`CycleRecord` after every cycle.
@@ -246,7 +249,10 @@ def solve_shifted(problem, observer=None):
             observer(
                 CycleRecord(state.restart_count, basis, proj, active, Yrec, Rrec, state)
             )
-        seed = next_seed
+        # Copy the seed out once the cycle's work is freed, then free the basis.
+        del proj, Vb, Ycyc, Yrec
+        seed = next_seed.copy(order="F")
+        del basis, next_seed
 
 
 def _invariant_subspace_solve(problem, state, seed, original):

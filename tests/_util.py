@@ -44,5 +44,15 @@ def dissipative_operator(n, seed, margin=0.3):
     return FactorizedOperator.from_dense(M - (lam + margin) * np.eye(n))
 
 
+def nan_operator(n, seed, broken):
+    """A random sparse operator whose ``broken`` action ("apply" or "solve")
+    returns all-NaN blocks."""
+    base = random_sparse_operator(n, seed)
+    actions = {"apply": base.apply, "solve": base.solve}
+    actions[broken] = lambda B: np.full(B.shape, np.nan)
+    return FactorizedOperator(n, base.nnz, actions["apply"], actions["solve"],
+                              base.to_sparse, base.structure)
+
+
 def random_block(n, p, seed):
     return np.random.default_rng(seed).random((n, p))

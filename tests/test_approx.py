@@ -20,7 +20,7 @@ from ebhess import (
     tridiag_reference,
 )
 from ebhess.errors import AssumptionViolated, DimensionMismatch, NoConvergence, Overflow
-from _util import dissipative_operator, random_block, random_sparse_operator
+from _util import dissipative_operator, nan_operator, random_block, random_sparse_operator
 
 FIVE = [FunctionSpec.from_name(t) for t in ("exp", "sqrt", "expnegsqrt", "log", "expinvx")]
 
@@ -40,6 +40,10 @@ class TestMfEbh:
         V = np.random.default_rng(7).random((5000, 5))
         with pytest.raises(Overflow):
             mf_ebh(A, V, 20, FunctionSpec.exp_neg_over_x())
+
+    def test_nan_returning_operator_raises_overflow(self):
+        with pytest.raises(Overflow, match="candidate block 3 "):
+            mf_ebh(nan_operator(40, 4, "apply"), random_block(40, 2, 4), 2, FunctionSpec.exp())
 
     def test_fig1_tridiag_sqrt_log_converge(self):
         # The paper's Fig. 1 setting: scaled 1-D Laplacian, n = 5000.  At

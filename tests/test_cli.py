@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import scipy.io
 import scipy.sparse as sp
 
@@ -87,10 +88,10 @@ class TestMatfunCommand:
 
     def test_overflowing_reference_marks_only_its_function(self, tmp_path):
         # exp of n^2 tridiag(-1, 2, -1) overflows at n = 500; sqrt does not.
-        common = ["--gallery", "tridiag", "--n", "500", "--p", "5", "--funcs", "sqrt,exp",
-                  "--repeat", "1"]
+        common = ["--gallery", "tridiag", "--n", "500", "--p", "5", "--funcs", "sqrt,exp"]
         out = str(tmp_path / "t.csv")
-        assert main(["matfun"] + common + ["--m", "10", "--methods", "ebh", "--out", out]) == 0
+        assert main(["matfun"] + common + ["--m", "10", "--methods", "ebh", "--repeat", "1",
+                                           "--out", out]) == 0
         _, _, (sqrt_row, exp_row) = _read_csv(out)
         assert sqrt_row[0] == "sqrt" and sqrt_row[-1] == "ok" and float(sqrt_row[5]) < 1.0
         assert exp_row == ["exp", "EBH", "10", "", "", "", "Overflow"]
@@ -160,7 +161,7 @@ class TestCurvesCommand:
         out = str(tmp_path / "c.dat")
         assert main(
             ["curves", "--gallery", "toeplitz", "--n", "80", "--p", "2", "--m-max", "6",
-             "--funcs", "sqrt,log", "--seed", "3", "--repeat", "1", "--out", out]
+             "--funcs", "sqrt,log", "--seed", "3", "--out", out]
         ) == 0
         for fn in ("sqrt", "log"):
             lines = [
@@ -173,19 +174,18 @@ class TestCurvesCommand:
         single = str(tmp_path / "one.dat")
         assert main(
             ["curves", "--gallery", "toeplitz", "--n", "40", "--p", "2", "--m-max", "1",
-             "--funcs", "exp", "--seed", "3", "--repeat", "1", "--out", single]
+             "--funcs", "exp", "--seed", "3", "--out", single]
         ) == 0
         lines = [l for l in open(str(tmp_path / "one_exp.dat")) if not l.startswith("#")]
         assert len(lines) == 1 and lines[0].split()[0] == "1"
 
     def test_matches_matfun_at_shared_m(self, tmp_path):
-        common = ["--gallery", "toeplitz", "--n", "60", "--p", "2", "--seed", "11",
-                  "--repeat", "1"]
+        common = ["--gallery", "toeplitz", "--n", "60", "--p", "2", "--seed", "11"]
         curves_out = str(tmp_path / "cv.dat")
         assert main(["curves"] + common + ["--m-max", "3", "--funcs", "exp",
                                            "--out", curves_out]) == 0
         table_out = str(tmp_path / "tb.csv")
-        assert main(["matfun"] + common + ["--m", "3", "--funcs", "exp",
+        assert main(["matfun"] + common + ["--m", "3", "--funcs", "exp", "--repeat", "1",
                                            "--methods", "ebh", "--out", table_out]) == 0
         curve_lines = [
             l.split() for l in open(str(tmp_path / "cv_exp.dat")) if not l.startswith("#")
@@ -193,6 +193,19 @@ class TestCurvesCommand:
         curve_err = dict((int(m), e) for m, e in curve_lines)
         _, _, rows = _read_csv(table_out)
         assert rows[0][5] == curve_err[3]
+
+    def test_takes_no_repeat(self, tmp_path):
+        # curves times nothing: its series header echoes no repeat, and the
+        # flag is refused with argparse's usage error.
+        out = str(tmp_path / "c.dat")
+        args = ["curves", "--gallery", "toeplitz", "--n", "40", "--p", "2", "--m-max", "1",
+                "--funcs", "exp", "--out", out]
+        assert main(args) == 0
+        header = open(str(tmp_path / "c_exp.dat")).readline()
+        assert header.startswith("# command=curves") and "repeat=" not in header
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--repeat", "3"])
+        assert exc.value.code == 2
 
 
 class TestFlopsCommand:

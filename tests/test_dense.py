@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ebhess import pivot_block_solve, plu_factor
+from ebhess.dense import _plu_in_place
 from ebhess.errors import DimensionMismatch, RankDeficient, SingularPivotBlock
 
 
@@ -56,17 +57,19 @@ class TestPluFactor:
         p=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
         far=st.booleans(),
+        scale=st.integers(-60, 60),
     )
-    def test_factor_properties(self, n, p, seed, far):
+    def test_factor_properties(self, n, p, seed, far, scale):
         p = min(p, n)
         rng = np.random.default_rng(seed)
-        M = rng.standard_normal((n, p))
+        M = rng.standard_normal((n, p)) * 2.0**scale
         if far and n > p:
             # Each column's maximum below row p: the swaps reach far down.
-            M[rng.integers(p, n, p), np.arange(p)] = 10.0 + rng.random(p)
+            M[rng.integers(p, n, p), np.arange(p)] = (10.0 + rng.random(p)) * 2.0**scale
         M0 = M.copy()
         f = plu_factor(M)
         assert_array_equal(M, M0)
+        assert not np.shares_memory(f.permuted_unit_lower, M)
         PL = f.permuted_unit_lower
         assert np.linalg.norm(PL @ f.upper - M) <= 1e-12 * np.linalg.norm(M)
         sub = PL[f.pivot_rows, :]
@@ -75,6 +78,27 @@ class TestPluFactor:
         assert np.abs(PL).max() <= 1.0
         P, _, _ = sla.lu(M)
         assert_array_equal(f.pivot_rows, np.argmax(P[:, :p], axis=0))
+        # The in-place kernel on a slot of a wider Fortran store, as the
+        # basis process calls it: plu_factor's factors bit for bit, written
+        # into the slot and nowhere else.
+        store = np.zeros((n, 3 * p), order="F")
+        slot = store[:, p : 2 * p]
+        slot[...] = M
+        upper, rows, colmax = _plu_in_place(slot)
+        assert_array_equal(store[:, p : 2 * p], PL)
+        assert not store[:, :p].any() and not store[:, 2 * p :].any()
+        assert_array_equal(upper, f.upper)
+        assert_array_equal(rows, f.pivot_rows)
+        assert_array_equal(colmax, f.column_max)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        M = np.asfortranarray(np.random.default_rng(3).standard_normal((10, 2)))
+        M[7, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            plu_factor(M)
+        with pytest.raises(ValueError, match="non-finite"):
+            _plu_in_place(M)
 
     def test_read_only_input(self):
         # A basis-store view: a column slice of a read-only Fortran array.

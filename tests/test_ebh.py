@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -13,8 +15,9 @@ from ebhess import (
     pivot_block_solve,
 )
 from ebhess.ebh import projection_gap
-from ebhess.errors import Breakdown, DimensionMismatch, SingularCoefficient
-from _util import random_block, random_sparse_operator
+from ebhess.errors import Breakdown, DimensionMismatch, Overflow, SingularCoefficient
+from ebhess.operators import rot2_blockdiag
+from _util import nan_operator, random_block, random_sparse_operator
 
 
 def dense_left_inverse(basis, k_blocks):
@@ -145,6 +148,27 @@ class TestEbhaRun:
         with pytest.raises(Breakdown) as exc:
             ebha_run(A, np.hstack([V, V]), 2)
         assert exc.value.step == 1
+
+    @pytest.mark.parametrize("broken,step", [("apply", 3), ("solve", 2)])
+    def test_non_finite_candidate_is_overflow(self, broken, step):
+        # apply first acts on block 1 to give candidate 3; solve on V gives 2.
+        with pytest.raises(Overflow, match=f"candidate block {step} "):
+            ebha_run(nan_operator(40, 2, broken), random_block(40, 2, 2), 2)
+
+    def test_peak_memory_is_the_store_plus_working_blocks(self):
+        # Each candidate is projected and factored in its slot of the store,
+        # so the working memory beyond the store stays a few n x p blocks.
+        n, p, m = 5000, 5, 10
+        A = rot2_blockdiag(n)
+        V = random_block(n, p, 7)
+        ebha_run(A, V, 1)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            basis = ebha_run(A, V, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= basis.store.nbytes + 4 * n * p * 8
 
     def test_startup_coefficients(self):
         # V = V_1 gamma11 and A^{-1}V = V_1 gamma12 + V_2 gamma22

@@ -1,12 +1,16 @@
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ebhess import (
     FactorizedOperator,
+    GallerySpec,
     ShiftedProblem,
     ebha_run,
     build_T,
+    gallery,
     left_apply,
     residual_direct,
     solve_shifted,
@@ -216,6 +220,22 @@ class TestSolveShifted:
         # cycle 1's observer Y are not overwritten by cycle 2
         for k, Y in first["Y"].items():
             assert_array_equal(records[0].Y[k], Y)
+
+    def test_each_cycle_frees_the_previous_basis(self):
+        # At most one basis store is alive: the next seed is copied out of
+        # the basis, so cycle c's store is gone once cycle c+1 reports.
+        A = gallery(GallerySpec("convdiff_l2", 40))
+        C = np.random.default_rng(0).random((A.n, 5))
+        stores, alive = [], []
+
+        def observer(rec):
+            alive.append([ref() is not None for ref in stores])
+            stores.append(weakref.ref(rec.basis.store))
+
+        state = solve_shifted(ShiftedProblem(A, C, np.linspace(0.0, 5.0, 10), eps=1e-9, m=3),
+                              observer=observer)
+        assert state.restart_count == 3 and state.converged.all()
+        assert alive == [[], [False], [False, False]]
 
     def test_validation(self):
         A = random_sparse_operator(30, 7)
