@@ -296,9 +296,12 @@ def _parse_shifts(text):
     if len(parts) != 3:
         raise BadConfig(f"shifts must be start:end:count, got {text!r}")
     try:
-        return (float(parts[0]), float(parts[1]), int(parts[2]))
+        shifts = (float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise BadConfig(f"bad shift range {text!r}") from exc
+    if not np.isfinite(shifts[:2]).all():
+        raise BadConfig(f"bad shift range {text!r}")
+    return shifts
 
 
 def _read_config_file(path):
@@ -342,8 +345,11 @@ def _resolve(args, command):
         config.rel_err = False
     elif "rel_err" in file_values:
         config.rel_err = file_values["rel_err"].lower() in ("1", "true", "yes")
-    if config.repeat < 1:
-        raise BadConfig("repeat must be >= 1")
+    for key in ("repeat", "p", "max_restarts"):
+        if getattr(config, key) < 1:
+            raise BadConfig(f"{key} must be >= 1")
+    if not 0 < config.eps < np.inf:
+        raise BadConfig(f"eps must be positive and finite, got {config.eps}")
     for meth in config.methods:
         if meth not in ("ebh", "eba"):
             raise BadConfig(f"unknown method {meth!r}")

@@ -93,8 +93,10 @@ def _plu_in_place(lu):
 def pivot_block_solve(Vk, pk, W):
     """Solve ``Vk[pk, :] @ H = W[pk, :]`` for the p-by-p coefficient ``H``.
 
-    This is the oblique-projection coefficient of the basis recursion: the
-    rows ``pk`` are the pivot rows of the block ``Vk``.
+    This is the oblique-projection coefficient of the basis recursion for a
+    general block ``Vk`` whose pivot rows are ``pk``; :func:`ebha_run` gets the
+    same coefficient from one triangular solve, as its pivot blocks are unit
+    lower triangular.
     """
     Vk = np.asarray(Vk, dtype=float)
     W = np.asarray(W, dtype=float)

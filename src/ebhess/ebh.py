@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import BREAKDOWN_TOL, _plu_in_place, as_block, column_max, pivot_block_solve
-from .dense import plu_factor  # noqa: F401  (unused; perfbench/tracing.py patches ebh.plu_factor)
+from .dense import BREAKDOWN_TOL, _plu_in_place, as_block, column_max
+# Unused here; perfbench/tracing.py patches both names on this module.
+from .dense import pivot_block_solve, plu_factor  # noqa: F401
 from .errors import Breakdown, DimensionMismatch, Overflow, RankDeficient, SingularCoefficient
 
 
@@ -89,6 +90,8 @@ def start_block(A, V, m):
     n, p = V.shape
     if n != A.n:
         raise DimensionMismatch(f"V has {n} rows, operator is {A.n}")
+    if p < 1:
+        raise DimensionMismatch("V has no columns")
     if 2 * (m + 1) * p > n:
         raise DimensionMismatch(f"2(m+1)p = {2 * (m + 1) * p} exceeds n = {n}")
     if m < 1:
@@ -163,24 +166,21 @@ def ebha_run(A, V, m):
 
     load(1, V)
     g11 = normalize(1)
-    scale = load(2, A.solve(V))
-    g12 = pivot_block_solve(blocks[0], pivots[0], blocks[1])
-    gemm(-1.0, blocks[0], g12, beta=1.0, c=blocks[1], overwrite_c=1)
-    g22 = normalize(2, scale)
+    # Column 0 is the startup candidate A^{-1}V; its coefficients are gamma12, gamma22.
+    for col in range(2 * m + 1):
+        # Modified Gram-Schmidt order, block by block: H = L_i^{-1} W[p_i] with
+        # L_i = V_i[p_i], then W -= V_i H in place.  One forward substitution over
+        # all earlier blocks (classical order) loses ~1.5 digits of the identities.
+        W = blocks[col + 1]
+        act = A.apply if col % 2 else A.solve
+        scale = load(col + 2, act(blocks[col - 1] if col else V))
+        for i in range(col + 1):
+            Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], lower=1, unitdiag=1)
+            gemm(-1.0, blocks[i], Hc, beta=1.0, c=W, overwrite_c=1)
+            H[(i + 1, col)] = Hc
+        H[(col + 2, col)] = normalize(col + 2, scale)
 
-    for j in range(1, m + 1):
-        for col, act in ((2 * j - 1, A.apply), (2 * j, A.solve)):
-            # Modified Gram-Schmidt order, block by block: H = L_i^{-1} W[p_i] with
-            # L_i = V_i[p_i], then W -= V_i H in place.  One forward substitution over
-            # all earlier blocks (classical order) loses ~1.5 digits of the identities.
-            W = blocks[col + 1]
-            scale = load(col + 2, act(blocks[col - 1]))
-            for i in range(col + 1):
-                Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], lower=1, unitdiag=1)
-                gemm(-1.0, blocks[i], Hc, beta=1.0, c=W, overwrite_c=1)
-                H[(i + 1, col)] = Hc
-            H[(col + 2, col)] = normalize(col + 2, scale)
-
+    g12, g22 = H.pop((1, 0)), H.pop((2, 0))
     return ExtendedBasis(n, p, m, store, pivots, H, g11, g12, g22)
 
 

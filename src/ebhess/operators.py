@@ -25,10 +25,11 @@ from .errors import (
     UnsupportedField,
 )
 
-# Bands at most this wide go through the LAPACK banded factorization; wider
-# patterns use sparse or dense LU depending on size.
+# Operators whose bands total at most this width are marked "banded", which
+# routes mu2 to LAPACK's banded eigensolver (and lets the tridiagonal Laplacian
+# reference recognise them); they are factored by the sparse LU like the rest.
 _BAND_CUTOFF = 16
-# Below this size a wide-band sparse operator is factored as a dense LU.
+# Below this size a wider-band sparse operator is factored as a dense LU.
 # Routing those through splu instead moved acceptance criterion 1 past its
 # tolerance (worst V^L V identity error 1.4e-11 against the 1e-11 bound).
 _DENSE_FALLBACK_N = 2000
@@ -60,8 +61,8 @@ class FactorizedOperator:
     """Nonsingular operator exposing ``apply`` (A B) and ``solve`` (A^{-1} B).
 
     Construct through one of the classmethods; the inverse strategy is chosen
-    from the structure: closed-form 2x2 block inverses, banded LU, dense LU
-    below n = 2000, sparse LU otherwise.
+    from the structure: closed-form 2x2 block inverses, dense LU for wide-band
+    operators below n = 2000, sparse LU otherwise.
     """
 
     def __init__(self, n, nnz, apply_fn, solve_fn, sparse_fn, structure, rot2=None):
@@ -136,11 +137,8 @@ class FactorizedOperator:
         if S.shape[0] != S.shape[1]:
             raise DimensionMismatch("operator matrix must be square")
         n = S.shape[0]
-        bl, bu = _bandwidths(S)
-        if bl + bu <= _BAND_CUTOFF:
-            solve_fn = _banded_solver(S, bl, bu)
-            structure = "banded"
-        elif n < _DENSE_FALLBACK_N:
+        banded = sum(_bandwidths(S)) <= _BAND_CUTOFF
+        if not banded and n < _DENSE_FALLBACK_N:
             lu, piv = _checked_lu(S.toarray())
             solve_fn = lambda B: sla.lu_solve((lu, piv), B)
             structure = "sparse-dense-lu"
@@ -152,7 +150,7 @@ class FactorizedOperator:
             except RuntimeError as exc:
                 raise SingularOperator(str(exc)) from exc
             solve_fn = factor.solve
-            structure = "sparse"
+            structure = "banded" if banded else "sparse"
         return cls(n, S.nnz, lambda B: S @ B, solve_fn, lambda: S, structure=structure)
 
     @classmethod
@@ -205,25 +203,6 @@ def _bandwidths(S):
         return 0, 0
     d = coo.row - coo.col
     return int(max(d.max(), 0)), int(max(-d.min(), 0))
-
-
-def _banded_solver(S, bl, bu):
-    n = S.shape[0]
-    ab = np.zeros((2 * bl + bu + 1, n))
-    coo = S.tocoo()
-    ab[bl + bu + coo.row - coo.col, coo.col] = coo.data
-    gbtrf, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-    lu_band, ipiv, info = gbtrf(ab, bl, bu)
-    if info != 0:
-        raise SingularOperator(f"banded LU failed with info={info}")
-
-    def solve_fn(B):
-        x, info = gbtrs(lu_band, bl, bu, B, ipiv)
-        if info != 0:
-            raise SingularOperator(f"banded solve failed with info={info}")
-        return x
-
-    return solve_fn
 
 
 def _banded_lambda_max(B):

@@ -43,10 +43,12 @@ class ShiftedProblem:
     def __post_init__(self):
         self.C = as_block(self.C)
         self.shifts = np.atleast_1d(np.asarray(self.shifts, dtype=float))
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
         if len(self.shifts) < 1:
             raise ValueError("need at least one shift")
+        if not np.isfinite(self.shifts).all():
+            raise ValueError("shifts must be finite")
         if self.C.shape[0] != self.A.n:
             raise DimensionMismatch("C row count does not match the operator")
 

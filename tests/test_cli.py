@@ -253,6 +253,15 @@ class TestConfigFile:
         rc = main(["matfun", "--config", str(cfg), "--out", str(tmp_path / "v.csv")])
         assert rc == 2
         assert "sixty" in capsys.readouterr().err
+        base = ["shifted", "--gallery", "toeplitz", "--n", "40", "--p", "1", "--m", "2",
+                "--shifts", "0:1:2", "--repeat", "1", "--out", str(tmp_path / "s.csv")]
+        for flag, value in (("--p", "0"), ("--eps", "0"), ("--eps", "-1"), ("--eps", "nan"),
+                            ("--eps", "inf"), ("--max-restarts", "0"), ("--max-restarts", "-1")):
+            assert main(base + [flag, value]) == 2, (flag, value)
+            assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+        assert main(base + ["--shifts", "0:nan:2"]) == 2
+        assert "shift range" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -141,6 +141,8 @@ class TestEbhaRun:
             ebha_run(A, random_block(10, 2, 0), 2)  # 2(m+1)p = 12 > 10
         with pytest.raises(DimensionMismatch):
             ebha_run(A, random_block(8, 1, 0), 2)  # row count mismatch
+        with pytest.raises(DimensionMismatch):
+            ebha_run(A, np.zeros((10, 0)), 2)  # empty block
 
     def test_rank_deficient_start(self):
         A = random_sparse_operator(30, 1)

@@ -68,11 +68,23 @@ class TestApplySolve:
         assert np.linalg.norm(A.apply(A.solve(B)) - B) <= 1e-10 * np.linalg.norm(B)
         assert np.linalg.norm(A.solve(A.apply(B)) - B) <= 1e-10 * np.linalg.norm(B)
 
-    @pytest.mark.parametrize("make", ["convdiff_l2", "unsymmetric"])
+    @pytest.mark.parametrize("make", ["convdiff_l2", "unsymmetric", "tridiag", "band4+4"])
     def test_sparse_lu_solve(self, make):
-        # Both are past the band cutoff and the dense fallback size, so
-        # they reach the sparse LU.
-        if make == "convdiff_l2":
+        # The first two are past the band cutoff and the dense fallback size;
+        # the narrow bands are marked "banded" at any size.  All reach the sparse LU.
+        structure = "banded" if make in ("tridiag", "band4+4") else "sparse"
+        if make == "tridiag":
+            A = gallery(GallerySpec("tridiag_scaled", 500))
+        elif make == "band4+4":
+            # Four random sub- and superdiagonals, nonsymmetric values.
+            n = 3000
+            rng = np.random.default_rng(6)
+            offsets = [-4, -3, -2, -1, 1, 2, 3, 4]
+            bands = [rng.uniform(-1.0, 1.0, n - abs(k)) for k in offsets]
+            S = sp.diags(bands + [np.full(n, 9.0)], offsets + [0], format="csr")
+            assert abs(S - S.T).max() > 0
+            A = FactorizedOperator.from_sparse(S)
+        elif make == "convdiff_l2":
             A = gallery(GallerySpec("convdiff_l2", size=150))
         else:
             # Entries at offsets +37 and +400 but none below -1: the pattern
@@ -85,7 +97,7 @@ class TestApplySolve:
             P = (S != 0).astype(int)
             assert (P - P.T).nnz > 0
             A = FactorizedOperator.from_sparse(S)
-        assert A.structure == "sparse"
+        assert A.structure == structure
         B = np.random.default_rng(4).standard_normal((A.n, 5))
         assert np.linalg.norm(A.apply(A.solve(B)) - B) <= 1e-12 * np.linalg.norm(B)
 

@@ -242,8 +242,12 @@ class TestSolveShifted:
         C = random_block(30, 1, 7)
         with pytest.raises(ValueError):
             ShiftedProblem(A, C, [], m=2)
-        with pytest.raises(ValueError):
-            ShiftedProblem(A, C, [0.0], m=2, eps=0.0)
+        for eps in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ShiftedProblem(A, C, [0.0], m=2, eps=eps)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ShiftedProblem(A, C, [0.0, bad], m=2)
 
 
 class TestResidualDirect:
