@@ -59,7 +59,7 @@ def mf_ebh(A, V, m, spec, *, reference=None):
     basis = ebha_run(A, V, m)
     proj = build_T(basis)
     F = funm(spec, proj.T)
-    app = basis.matrix(2 * m) @ (F[:, : basis.p] @ proj.gamma11)
+    app = basis.matrix(2 * m) @ (F[:, : basis.p] @ basis.gamma11)
     return _finish(app, m, reference, t0)
 
 
@@ -154,12 +154,12 @@ def exp_error_bound(A, basis, proj):
     mu = A.mu2()
     if mu > 1e-12:
         raise AssumptionViolated(f"mu2(A) = {mu:.3e} > 0; the bound needs x^T A x <= 0")
-    p = proj.p
+    p = basis.p
     V_next = basis.blocks[2 * basis.m]
     coupling = 0.0
     for s in np.linspace(0.0, 1.0, _BOUND_GRID):
         E = expm(s * proj.T)
-        core = proj.tau @ (E[-2 * p :, :p] @ proj.gamma11)
+        core = proj.tau @ (E[-2 * p :, :p] @ basis.gamma11)
         coupling = max(coupling, float(np.linalg.norm(V_next @ core, 2)))
     factor = 1.0 if mu == 0.0 else float(np.expm1(mu) / mu)
     return coupling * factor, coupling, mu

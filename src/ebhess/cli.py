@@ -257,8 +257,8 @@ def run_curves(config):
 
 def run_flops(config):
     """Operation-count report for the basis recursion."""
-    if min(config.n, config.p, config.m_list[0]) < 1 or config.nnz < 0:
-        raise BadConfig("flops needs positive n, p, m and nonnegative nnz")
+    if config.n < 1 or config.nnz < 0:
+        raise BadConfig("flops needs positive n and nonnegative nnz")
     m = config.m_list[0]
     summed, closed = flop_estimate(config.n, config.p, m, config.nnz)
     extra = []
@@ -345,8 +345,8 @@ def _resolve(args, command):
         config.rel_err = False
     elif "rel_err" in file_values:
         config.rel_err = file_values["rel_err"].lower() in ("1", "true", "yes")
-    for key in ("repeat", "p", "max_restarts"):
-        if getattr(config, key) < 1:
+    for key in ("repeat", "p", "max_restarts", "m_list"):
+        if np.min(getattr(config, key)) < 1:
             raise BadConfig(f"{key} must be >= 1")
     if not 0 < config.eps < np.inf:
         raise BadConfig(f"eps must be positive and finite, got {config.eps}")

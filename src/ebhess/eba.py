@@ -80,8 +80,5 @@ def eba_run(A, V, m):
 def _mask_hessenberg(T, p):
     # Zero everything below the 2p-block subdiagonal; those entries are
     # structural zeros contaminated only by orthogonalization roundoff.
-    k = T.shape[0] // p
-    for r in range(k):
-        for c in range(k):
-            if (r // 2) > (c // 2) + 1:
-                T[r * p : (r + 1) * p, c * p : (c + 1) * p] = 0.0
+    pair = np.arange(T.shape[0]) // (2 * p)
+    T[pair[:, None] > pair[None, :] + 1] = 0.0

@@ -44,9 +44,10 @@ class ExtendedBasis(BlockStore):
     ``store`` holds the 2m+2 basis blocks; ``blocks`` and ``matrix()`` are
     read-only views of it (see :class:`BlockStore`).  ``pivot_sets[k]``
     holds the p rows where ``blocks[k]`` carries its unit lower triangle.
-    ``H`` maps 1-based block index pairs (i, j) to the p-by-p recursion
-    coefficients; ``gamma11``, ``gamma12``, ``gamma22`` are the startup
-    coefficients tying the first two blocks to V and A^{-1}V.
+    ``H`` is the (2m+2)p x (2m+1)p block upper Hessenberg array of recursion
+    coefficients: its p-by-p block (i, c), 0-based, is the coefficient of
+    ``blocks[i]`` for the candidate from ``blocks[c-1]`` (V for c = 0), so
+    column block 0 is [gamma12; gamma22]; ``gamma11`` ties ``blocks[0]`` to V.
     """
 
     n: int
@@ -54,10 +55,8 @@ class ExtendedBasis(BlockStore):
     m: int
     store: np.ndarray = field(repr=False)
     pivot_sets: list = field(repr=False)
-    H: dict = field(repr=False)
+    H: np.ndarray = field(repr=False)
     gamma11: np.ndarray = field(repr=False)
-    gamma12: np.ndarray = field(repr=False)
-    gamma22: np.ndarray = field(repr=False)
 
     def pivot_rows(self, k_blocks):
         return np.concatenate(self.pivot_sets[:k_blocks])
@@ -73,14 +72,11 @@ class ProjectedData:
 
     ``T`` is the 2mp x 2mp projection of A onto the basis (block upper
     Hessenberg with 2p x 2p blocks); ``tau`` is the p x 2p trailing block
-    coupling the basis to V_{2m+1}.
+    coupling the basis to V_{2m+1}; p, m and gamma11 stay on the basis.
     """
 
     T: np.ndarray
     tau: np.ndarray
-    gamma11: np.ndarray
-    p: int
-    m: int
 
 
 def start_block(A, V, m):
@@ -126,7 +122,8 @@ def ebha_run(A, V, m):
     used = np.zeros(n, dtype=bool)
     store = np.empty((n, (2 * m + 2) * p), order="F")
     blocks = [store[:, k * p : (k + 1) * p] for k in range(2 * m + 2)]
-    pivots, pivot_blocks, H = [], [], {}
+    pivots, pivot_blocks = [], []
+    H = np.zeros(((2 * m + 2) * p, (2 * m + 1) * p), order="F")
     trtrs, = sla.get_lapack_funcs(("trtrs",), (store,))
     gemm, = sla.get_blas_funcs(("gemm",), (store,))
 
@@ -166,22 +163,20 @@ def ebha_run(A, V, m):
 
     load(1, V)
     g11 = normalize(1)
-    # Column 0 is the startup candidate A^{-1}V; its coefficients are gamma12, gamma22.
+    # Column 0 is the startup candidate A^{-1}V; its coefficients are [gamma12; gamma22].
     for col in range(2 * m + 1):
         # Modified Gram-Schmidt order, block by block: H = L_i^{-1} W[p_i] with
         # L_i = V_i[p_i], then W -= V_i H in place.  One forward substitution over
         # all earlier blocks (classical order) loses ~1.5 digits of the identities.
-        W = blocks[col + 1]
+        W, Hcol = blocks[col + 1], H[:, col * p : (col + 1) * p]
         act = A.apply if col % 2 else A.solve
         scale = load(col + 2, act(blocks[col - 1] if col else V))
         for i in range(col + 1):
             Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], lower=1, unitdiag=1)
             gemm(-1.0, blocks[i], Hc, beta=1.0, c=W, overwrite_c=1)
-            H[(i + 1, col)] = Hc
-        H[(col + 2, col)] = normalize(col + 2, scale)
-
-    g12, g22 = H.pop((1, 0)), H.pop((2, 0))
-    return ExtendedBasis(n, p, m, store, pivots, H, g11, g12, g22)
+            Hcol[i * p : (i + 1) * p] = Hc
+        Hcol[(col + 1) * p : (col + 2) * p] = normalize(col + 2, scale)
+    return ExtendedBasis(n, p, m, store, pivots, H, g11)
 
 
 def left_apply(basis, W, k_blocks):
@@ -210,40 +205,33 @@ def _inv_upper(U, what):
 def build_T(basis):
     """Assemble the projected matrix and trailing coupling from the recursion.
 
-    No products with A are formed: odd columns are the stored coefficients,
-    even columns follow from the inverse-direction recursion, column by
-    column left to right.  The extra block row kept during assembly yields
-    the trailing coupling ``tau``.
+    No products with A are formed: T's column block 2k (0-based) is H's
+    column block 2k+1, and T's column block 2k+1 follows from H's column
+    block 2k by the inverse-direction recursion, left to right.  The extra
+    block row kept during assembly yields the trailing coupling ``tau``.
     """
-    p, m = basis.p, basis.m
+    p, m, H = basis.p, basis.m, basis.H
     rows = (2 * m + 1) * p
     Te = np.zeros((rows, 2 * m * p))
+    copied = np.arange(2 * m * p) // p % 2 == 0
+    Te[:, copied] = H[:rows, p:][:, copied]
 
-    def col(c):
-        return Te[:, (c - 1) * p : c * p]
-
-    for j in range(1, m + 1):
-        c = 2 * j - 1
-        for i in range(1, 2 * j + 2):
-            Te[(i - 1) * p : i * p, (c - 1) * p : c * p] = basis.H[(i, c)]
-
-    g22_inv = _inv_upper(basis.gamma22, "gamma22")
-    col2 = -col(1) @ (basis.gamma12 @ g22_inv)
-    col2[:p, :] += basis.gamma11 @ g22_inv
-    Te[:, p : 2 * p] = col2
-
-    for j in range(1, m):
-        c = 2 * j + 2
-        Hinv = _inv_upper(basis.H[(2 * j + 2, 2 * j)], f"H({2 * j + 2},{2 * j})")
+    for c in range(0, 2 * m - 1, 2):
+        # The candidate of column block c is A^{-1} V_c (V_0 = V = V_1 gamma11).
+        Hc = H[:, c * p : (c + 1) * p]
+        Hinv = _inv_upper(Hc[(c + 1) * p : (c + 2) * p], f"H({c + 1},{c})")
         new = np.zeros((rows, p))
-        new[(2 * j - 1) * p : 2 * j * p, :] = Hinv
-        for i in range(1, 2 * j + 2):
-            new -= col(i) @ (basis.H[(i, 2 * j)] @ Hinv)
-        Te[:, (c - 1) * p : c * p] = new
+        if c:
+            new[(c - 1) * p : c * p, :] = Hinv
+        else:
+            new[:p, :] = basis.gamma11 @ Hinv
+        for i in range(c + 1):
+            new -= Te[:, i * p : (i + 1) * p] @ (Hc[i * p : (i + 1) * p] @ Hinv)
+        Te[:, (c + 1) * p : (c + 2) * p] = new
 
     T = Te[: 2 * m * p, :].copy()
     tau = Te[2 * m * p :, (2 * m - 2) * p :].copy()
-    return ProjectedData(T, tau, basis.gamma11.copy(), p, m)
+    return ProjectedData(T, tau)
 
 
 def build_T_direct(basis, A):

@@ -256,7 +256,8 @@ class TestConfigFile:
         base = ["shifted", "--gallery", "toeplitz", "--n", "40", "--p", "1", "--m", "2",
                 "--shifts", "0:1:2", "--repeat", "1", "--out", str(tmp_path / "s.csv")]
         for flag, value in (("--p", "0"), ("--eps", "0"), ("--eps", "-1"), ("--eps", "nan"),
-                            ("--eps", "inf"), ("--max-restarts", "0"), ("--max-restarts", "-1")):
+                            ("--eps", "inf"), ("--max-restarts", "0"), ("--max-restarts", "-1"),
+                            ("--m", "0"), ("--m", "-1")):
             assert main(base + [flag, value]) == 2, (flag, value)
             assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
         assert main(base + ["--shifts", "0:nan:2"]) == 2

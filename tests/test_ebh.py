@@ -16,7 +16,7 @@ from ebhess import (
 )
 from ebhess.ebh import projection_gap
 from ebhess.errors import Breakdown, DimensionMismatch, Overflow, SingularCoefficient
-from ebhess.operators import rot2_blockdiag
+from ebhess.operators import GallerySpec, gallery, rot2_blockdiag
 from _util import nan_operator, random_block, random_sparse_operator
 
 
@@ -132,7 +132,8 @@ class TestEbhaRun:
         A = random_sparse_operator(n, 7)
         V = random_block(n, 2, 7)
         basis = ebha_run(A, V, 2)
-        Vt2 = A.solve(V) - basis.blocks[0] @ basis.gamma12
+        gamma12 = basis.H[:2, :2]
+        Vt2 = A.solve(V) - basis.blocks[0] @ gamma12
         assert np.abs(Vt2[basis.pivot_sets[0], :]).max() <= 1e-12 * np.abs(A.solve(V)).max()
 
     def test_dimension_guards(self):
@@ -157,6 +158,23 @@ class TestEbhaRun:
         with pytest.raises(Overflow, match=f"candidate block {step} "):
             ebha_run(nan_operator(40, 2, broken), random_block(40, 2, 2), 2)
 
+    @pytest.mark.parametrize("name,size", [("rot2_blockdiag", 5000), ("convdiff_l1", 50)])
+    def test_smaller_m_is_the_leading_part(self, name, size):
+        # The recursion is nested: a run of m' steps is the leading part of a
+        # run of m steps, so one basis serves every smaller m.
+        A = gallery(GallerySpec(name, size))
+        p, m = 5, 10
+        V = np.random.default_rng(7).random((A.n, p))
+        big = ebha_run(A, V, m)
+        big_T = build_T(big).T
+        for k in (3, 5, 9):
+            small = ebha_run(A, V, k)
+            proj = build_T(small)
+            assert_array_equal(small.H, big.H[: (2 * k + 2) * p, : (2 * k + 1) * p])
+            assert_array_equal(small.store, big.store[:, : (2 * k + 2) * p])
+            assert_array_equal(proj.T, big_T[: 2 * k * p, : 2 * k * p])
+            assert_array_equal(proj.tau, big_T[2 * k * p : (2 * k + 1) * p, (2 * k - 2) * p : 2 * k * p])
+
     def test_peak_memory_is_the_store_plus_working_blocks(self):
         # Each candidate is projected and factored in its slot of the store,
         # so the working memory beyond the store stays a few n x p blocks.
@@ -180,7 +198,8 @@ class TestEbhaRun:
         basis = ebha_run(A, V, 2)
         assert np.linalg.norm(V - basis.blocks[0] @ basis.gamma11) <= 1e-12 * np.linalg.norm(V)
         AinvV = A.solve(V)
-        recon = basis.blocks[0] @ basis.gamma12 + basis.blocks[1] @ basis.gamma22
+        gamma12, gamma22 = basis.H[:2, :2], basis.H[2:4, :2]
+        recon = basis.blocks[0] @ gamma12 + basis.blocks[1] @ gamma22
         assert np.linalg.norm(AinvV - recon) <= 1e-12 * np.linalg.norm(AinvV)
 
     # The ids keep the earlier "p-joint_start-reorthogonalize" form; only the
@@ -191,15 +210,18 @@ class TestEbhaRun:
         A = random_sparse_operator(n, 30 + p)
         V = random_block(n, p, 30 + p)
         basis = ebha_run(A, V, m)
-        store, pivots, H, gammas = reference_ebha(A, V, m)
+        store, pivots, H, (g11, g12, g22) = reference_ebha(A, V, m)
         assert_array_equal(basis.store, store)
         for got, want in zip(basis.pivot_sets, pivots, strict=True):
             assert_array_equal(got, want)
-        assert basis.H.keys() == H.keys()
-        for key in H:
-            assert_array_equal(basis.H[key], H[key])
-        for got, want in zip((basis.gamma11, basis.gamma12, basis.gamma22), gammas):
-            assert_array_equal(got, want)
+        # The oracle's blocks in the coefficient array's layout: the 1-based
+        # key (i, c) is block (i-1, c), and column block 0 is [gamma12; gamma22].
+        want = np.zeros(((2 * m + 2) * p, (2 * m + 1) * p))
+        want[:p, :p], want[p : 2 * p, :p] = g12, g22
+        for (i, c), Hc in H.items():
+            want[(i - 1) * p : i * p, c * p : (c + 1) * p] = Hc
+        assert_array_equal(basis.H, want)
+        assert_array_equal(basis.gamma11, g11)
 
 
 class TestLeftApply:
@@ -259,12 +281,9 @@ class TestBuildT:
         basis = ebha_run(A, random_block(40, 1, 9), m)
         proj = build_T(basis)
         g11 = basis.gamma11[0, 0]
-        g12 = basis.gamma12[0, 0]
-        g22 = basis.gamma22[0, 0]
-        h_col = np.zeros(2 * m)
-        for i in range(1, 2 * m + 1):
-            if (i, 1) in basis.H:
-                h_col[i - 1] = basis.H[(i, 1)][0, 0]
+        g12 = basis.H[0, 0]
+        g22 = basis.H[1, 0]
+        h_col = basis.H[: 2 * m, 1]
         expected = -h_col * g12 / g22
         expected[0] += g11 / g22
         assert_allclose(proj.T[:, 1], expected, rtol=1e-12, atol=1e-12)
@@ -296,7 +315,7 @@ class TestBuildT:
     def test_singular_coefficient(self):
         A = random_sparse_operator(40, 13)
         basis = ebha_run(A, random_block(40, 2, 13), 2)
-        basis.gamma22[:] = 0.0
+        basis.H[2:4, :2] = 0.0  # gamma22
         with pytest.raises(SingularCoefficient):
             build_T(basis)
 
