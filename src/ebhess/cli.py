@@ -20,7 +20,7 @@ from .matfun import FunctionSpec
 from .operators import FactorizedOperator, GallerySpec, flop_estimate, gallery, read_matrix_market
 from .shifted import ShiftedProblem, residual_direct, solve_shifted
 
-FUNC_NAMES = ("exp", "sqrt", "expnegsqrt", "log", "expinvx")
+FUNC_NAMES = FunctionSpec.NAMES
 
 _GALLERY_ALIASES = {
     "toeplitz": "toeplitz_inv_dist",

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -19,6 +21,7 @@ from ebhess import (
     reference_matfun,
     tridiag_reference,
 )
+from ebhess import approx
 from ebhess.errors import AssumptionViolated, DimensionMismatch, NoConvergence, Overflow
 from _util import dissipative_operator, nan_operator, random_block, random_sparse_operator
 
@@ -97,6 +100,22 @@ class TestMfEbh:
         assert res.relative_error is not None and res.relative_error >= 0.0
         assert res.wall_time > 0.0
         assert res.m == 4
+
+    @pytest.mark.parametrize("driver", [mf_ebh, mf_eba], ids=lambda d: d.__name__)
+    def test_wall_time_excludes_the_scoring(self, monkeypatch, driver):
+        scoring = approx._relative_error
+
+        def slow(app, reference):
+            time.sleep(0.2)
+            return scoring(app, reference)
+
+        monkeypatch.setattr(approx, "_relative_error", slow)
+        A = gallery(GallerySpec("rot2_blockdiag", size=60))
+        V = random_block(60, 2, 3)
+        spec = FunctionSpec.exp()
+        res = driver(A, V, 4, spec, reference=reference_matfun(A, V, spec))
+        assert res.relative_error is not None
+        assert res.wall_time < 0.2
 
     def test_relative_error_when_the_reference_norm_overflows(self):
         # Entries near 1e219: their squares overflow, so an unscaled

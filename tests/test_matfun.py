@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -114,6 +116,8 @@ class TestSqrtmLogm:
         assert calls == ["logm"]
         sqrtm(np.diag([4.0, 9.0]))
         assert calls == ["logm", "sqrtm"]
+        funm(FunctionSpec.exp_neg_sqrt(), np.diag([4.0, 9.0]))
+        assert calls == ["logm", "sqrtm", "sqrtm"]
 
 
 class TestFunm:
@@ -144,9 +148,9 @@ class TestFunm:
 
     @pytest.mark.parametrize("spec", [FunctionSpec.exp_neg_over_x(), FunctionSpec.exp_neg_sqrt()])
     def test_one_eigendecomposition_per_call(self, monkeypatch, spec):
-        # exp(-sqrt(x)): the branch check reads the eigenvalues of the one eig
-        # call.  exp(-x)/x is M^{-1} expm(-M) and needs no eigenvalues at all.
-        want = {"expinvx": [], "expnegsqrt": ["eig"]}[spec.tag]
+        # exp(-sqrt(x)) is expm(-sqrtm(M)): sqrtm's one branch check, no eig.
+        # exp(-x)/x is M^{-1} expm(-M) and needs no eigenvalues at all.
+        want = {"expinvx": [], "expnegsqrt": ["eigvals"]}[spec.tag]
         calls = []
         for name in ("eig", "eigvals"):
             original = getattr(np.linalg, name)
@@ -169,8 +173,15 @@ class TestFunm:
             funm(FunctionSpec.exp_neg_sqrt(), np.array([[-1.0, 1.0], [0.0, -1.0]]))
 
     def test_ill_conditioned_eigenbasis(self):
+        # Custom functions are the one route through the eigendecomposition.
         with pytest.raises(IllConditionedEigenbasis):
-            funm(FunctionSpec.exp_neg_sqrt(), np.array([[1.0, 1.0], [0.0, 1.0]]))
+            funm(FunctionSpec.custom(lambda z: np.exp(-np.sqrt(z))), np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_exp_neg_sqrt_of_jordan_block(self):
+        # f(J) = [[f(1), f'(1)], [0, f(1)]] with f'(x) = -exp(-sqrt(x)) / (2 sqrt(x)).
+        got = funm(FunctionSpec.exp_neg_sqrt(), np.array([[1.0, 1.0], [0.0, 1.0]]))
+        e = np.exp(-1.0)
+        assert np.abs(got - [[e, -e / 2.0], [0.0, e]]).max() <= 1e-14
 
     def test_similarity_commutes(self):
         rng = np.random.default_rng(5)
@@ -193,6 +204,25 @@ class TestFunm:
         got = funm(spec, D)
         want = np.diag([spec.scalar_eval(x).real for x in (1.0, 2.0, 4.0)])
         assert_allclose(got, want, atol=1e-13)
+
+    @pytest.mark.parametrize("spec", [
+        *(FunctionSpec.from_name(name) for name in FunctionSpec.NAMES),
+        FunctionSpec.resolvent(1.5),
+        FunctionSpec.laurent({-1: 1.0, 2: 0.5}),
+        FunctionSpec.custom(np.exp),
+    ], ids=lambda spec: spec.tag)
+    def test_spec_is_plain_data(self, spec):
+        # A spec is its tag and parameters: it survives pickling equal, with
+        # the same hash, and evaluates to the same bits.
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and hash(back) == hash(spec)
+        rng = np.random.default_rng(8)
+        B = rng.standard_normal((6, 6))
+        M = B @ B.T + 6 * np.eye(6)
+        assert np.array_equal(funm(back, M), funm(spec, M))
+
+    def test_spec_equality_goes_by_params(self):
+        assert FunctionSpec.resolvent(1) == FunctionSpec.resolvent(1) != FunctionSpec.resolvent(2)
 
     def test_from_name(self):
         assert FunctionSpec.from_name("expnegsqrt").tag == "expnegsqrt"
