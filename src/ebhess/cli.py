@@ -4,13 +4,18 @@ error-vs-iteration curves and operation-count reports as CSV.
 Every artifact embeds a ``#``-commented echo of the resolved configuration
 (seed included), so outputs are reproducible byte for byte apart from the
 time columns.
+
+Each setting is one row of ``OPTIONS``: its flag, the parser of flag and
+config-file values, its subcommands and help; the echo follows its order.
+``curves`` is ``matfun``'s approximation loop at m = 1..m_max for ``ebh``.
 """
 
 import argparse
+import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,29 +53,22 @@ class RunConfig:
     m_max: int = 0
     funcs: tuple = FUNC_NAMES
     methods: tuple = ("ebh", "eba")
+    rel_err: bool = True
     shifts: tuple = (0.0, 5.0, 500)
     eps: float = 2e-8
     max_restarts: int = 20
     nnz: int = 0
     seed: int = 0
     repeat: int = 10
-    rel_err: bool = True
     out: str | None = None
-
-    _ECHO_KEYS = {
-        "matfun": ("gallery", "input", "n", "grid", "p", "m_list", "funcs",
-                   "methods", "rel_err", "seed", "repeat"),
-        "shifted": ("gallery", "input", "n", "grid", "p", "m_list", "shifts",
-                    "eps", "max_restarts", "seed", "repeat"),
-        "curves": ("gallery", "input", "n", "grid", "p", "m_max", "funcs", "seed"),
-        "flops": ("n", "p", "m_list", "nnz", "seed"),
-    }
 
     def echo(self):
         pairs = [f"command={self.command}"]
-        for key in self._ECHO_KEYS.get(self.command, ()):
+        for key, (_, _, commands, _) in OPTIONS.items():
             val = getattr(self, key)
-            if val in (None, ()):
+            # not the output path; the seed always, though flops draws nothing
+            if key == "out" or val in (None, ()) or (
+                    self.command not in commands and key != "seed"):
                 continue
             if isinstance(val, tuple):
                 val = ",".join(str(v) for v in val)
@@ -117,6 +115,12 @@ def make_operator(config):
     return gallery(GallerySpec(name, size=config.n))
 
 
+def _problem(config):
+    """The operator and the seeded random n x p block it acts on."""
+    A = make_operator(config)
+    return A, np.random.default_rng(config.seed).random((A.n, config.p))
+
+
 def _reference(config, A, V, spec):
     """Exact f(A)V and None, or None and the name of the error that stopped it
     (say an overflowing exp), which then marks that function's output."""
@@ -129,20 +133,10 @@ def _reference(config, A, V, spec):
         return None, type(exc).__name__
 
 
-def _timed(fn, repeat):
-    result = fn()
-    times = [result.wall_time]
-    for _ in range(repeat - 1):
-        times.append(fn().wall_time)
-    return result, statistics.median(times), statistics.fmean(times)
-
-
-def run_matfun_table(config):
-    """Approximation table: one row per (function, method, m)."""
-    A = make_operator(config)
-    rng = np.random.default_rng(config.seed)
-    V = rng.random((A.n, config.p))
-    rows = []
+def _approximations(config, A, V):
+    """Yield (function, method, m, t_median, t_mean, rel_err, status) for each
+    function, method and m, each run timed over ``config.repeat`` calls; a
+    failed call or reference leaves the times and the error empty."""
     for fname in config.funcs:
         spec = FunctionSpec.from_name(fname)
         reference, failed = _reference(config, A, V, spec) if config.rel_err else (None, None)
@@ -150,19 +144,24 @@ def run_matfun_table(config):
             driver = mf_ebh if method == "ebh" else mf_eba
             for m in config.m_list:
                 if failed:
-                    rows.append((fname, method.upper(), m, None, None, None, failed))
+                    yield fname, method.upper(), m, None, None, None, failed
                     continue
                 try:
-                    result, t_med, t_mean = _timed(
-                        lambda: driver(A, V, m, spec, reference=reference),
-                        config.repeat,
-                    )
-                    rows.append(
-                        (fname, method.upper(), m, t_med, t_mean, result.relative_error, "ok")
-                    )
+                    result = driver(A, V, m, spec, reference=reference)
+                    times = [result.wall_time] + [
+                        driver(A, V, m, spec, reference=reference).wall_time
+                        for _ in range(config.repeat - 1)
+                    ]
                 except EbhessError as exc:
-                    rows.append((fname, method.upper(), m, None, None, None,
-                                 type(exc).__name__))
+                    yield fname, method.upper(), m, None, None, None, type(exc).__name__
+                    continue
+                yield (fname, method.upper(), m, statistics.median(times),
+                       statistics.fmean(times), result.relative_error, "ok")
+
+
+def run_matfun_table(config):
+    """Approximation table: one row per (function, method, m)."""
+    rows = list(_approximations(config, *_problem(config)))
     header = ["function", "method", "m", "time_s", "time_mean_s", "rel_err", "status"]
     _write_csv(config.out, config, header, rows)
     return rows
@@ -170,30 +169,30 @@ def run_matfun_table(config):
 
 def run_shifted_table(config):
     """Shifted-solver table: one row per m, with a direct-residual audit column."""
-    A = make_operator(config)
+    A, C = _problem(config)
     start, end, count = config.shifts
     if count < 1:
         raise BadConfig("need at least one shift")
     sigmas = np.linspace(start, end, int(count))
-    rng = np.random.default_rng(config.seed)
-    C = rng.random((A.n, config.p))
     opname = config.gallery or config.input
     rows = []
     for m in config.m_list:
         problem = ShiftedProblem(A, C, sigmas, eps=config.eps, m=m,
                                  max_restarts=config.max_restarts)
-        status = "ok"
-        state, t_first = _time_solve(problem)
-        if isinstance(state, NotConverged):
-            status = "NotConverged"
-            state = state.state
-        elif isinstance(state, EbhessError):
-            rows.append((opname, A.n, m, None, None, None, None, None,
-                         type(state).__name__))
+        times = []
+        for _ in range(config.repeat):
+            t0 = time.perf_counter()
+            try:
+                state, status = solve_shifted(problem), "ok"
+            except NotConverged as exc:
+                state, status = exc.state, "NotConverged"
+            except EbhessError as exc:
+                state, status = None, type(exc).__name__
+                break
+            times.append(time.perf_counter() - t0)
+        if state is None:
+            rows.append((opname, A.n, m, None, None, None, None, None, status))
             continue
-        times = [t_first]
-        for _ in range(config.repeat - 1):
-            times.append(_time_solve(problem)[1])
         final = [h[-1] for h in state.residual_history if h]
         max_final = max(final) if final else None
         sample = np.unique(np.linspace(0, len(sigmas) - 1, min(10, len(sigmas))).astype(int))
@@ -207,50 +206,26 @@ def run_shifted_table(config):
     return rows
 
 
-def _time_solve(problem):
-    t0 = time.perf_counter()
-    try:
-        state = solve_shifted(problem)
-    except EbhessError as exc:
-        state = exc
-    return state, time.perf_counter() - t0
-
-
 def run_curves(config):
-    """Error-vs-iteration series, one two-column file per function."""
-    A = make_operator(config)
+    """Error-vs-iteration series, one two-column file per function: the
+    ``ebh`` rows of the matfun loop at m = 1..m_max, with one repeat and
+    always a reference. ``--out fig1.dat`` names them ``fig1_<function>.dat``."""
+    A, V = _problem(config)
     if config.m_max < 1:
         raise BadConfig("curves needs --m-max >= 1")
-    rng = np.random.default_rng(config.seed)
-    V = rng.random((A.n, config.p))
-    if config.out is None:
-        raise BadConfig("curves needs --out")
+    stem, ext = os.path.splitext(config.out)
     paths = []
     for fname in config.funcs:
-        spec = FunctionSpec.from_name(fname)
-        reference, failed = _reference(config, A, V, spec)
-        series = []
-        for m in range(1, config.m_max + 1):
-            if failed:
-                series.append((m, failed))
-                continue
-            try:
-                res = mf_ebh(A, V, m, spec, reference=reference)
-                series.append((m, res.relative_error))
-            except EbhessError as exc:
-                # Small-m projections can land on branch cuts or break down;
-                # record the gap and keep the rest of the series.
-                series.append((m, type(exc).__name__))
-        stem, dot, ext = config.out.rpartition(".")
-        path = f"{stem}_{fname}.{ext}" if dot else f"{config.out}_{fname}"
+        sweep = replace(config, funcs=(fname,), methods=("ebh",), rel_err=True, repeat=1,
+                        m_list=range(1, config.m_max + 1))
+        # Small-m projections can land on branch cuts or break down; such an
+        # m is a comment line and the rest of the series is kept.
+        lines = [f"# {config.echo()}", f"# function={fname} columns: m relative_error"]
+        lines += [f"{m} {_fmt(err)}" if status == "ok" else f"# m={m} skipped: {status}"
+                  for _, _, m, _, _, err, status in _approximations(sweep, A, V)]
+        path = f"{stem}_{fname}{ext}"
         with open(path, "w") as fh:
-            fh.write(f"# {config.echo()}\n")
-            fh.write(f"# function={fname} columns: m relative_error\n")
-            for m, err in series:
-                if isinstance(err, str):
-                    fh.write(f"# m={m} skipped: {err}\n")
-                else:
-                    fh.write(f"{m} {_fmt(err)}\n")
+            fh.write("\n".join(lines) + "\n")
         paths.append(path)
     return paths
 
@@ -261,11 +236,7 @@ def run_flops(config):
         raise BadConfig("flops needs positive n and nonnegative nnz")
     m = config.m_list[0]
     summed, closed = flop_estimate(config.n, config.p, m, config.nnz)
-    extra = []
-    if summed != closed:
-        extra.append(
-            f"note: summed and closed_form differ by {summed - closed:.6e}"
-        )
+    extra = [f"note: summed and closed_form differ by {summed - closed:.6e}"] if summed != closed else []
     header = ["n", "p", "m", "nnz", "summed", "closed_form"]
     rows = [(config.n, config.p, m, config.nnz, summed, closed)]
     _write_csv(config.out, config, header, rows, extra_comments=extra)
@@ -283,12 +254,15 @@ def _parse_int_list(text):
         raise BadConfig(f"bad integer list {text!r}") from exc
 
 
-def _parse_funcs(text):
-    names = tuple(t for t in str(text).split(",") if t)
-    for t in names:
-        if t not in FUNC_NAMES:
-            raise BadConfig(f"unknown function {t!r}; choose from {','.join(FUNC_NAMES)}")
-    return names
+def _names(kind, choices):
+    """Parser of a comma-separated list of names from ``choices``."""
+    def parse(text):
+        names = tuple(t for t in str(text).split(",") if t)
+        for t in names:
+            if t not in choices:
+                raise BadConfig(f"unknown {kind} {t!r}; choose from {','.join(choices)}")
+        return names
+    return parse
 
 
 def _parse_shifts(text):
@@ -304,6 +278,34 @@ def _parse_shifts(text):
     return shifts
 
 
+_ALL = ("matfun", "shifted", "curves", "flops")
+_OPERATOR = ("matfun", "shifted", "curves")
+
+# RunConfig field -> (flag, parser, subcommands, help), in echo order; RunConfig
+# holds the defaults. A "--no-" flag takes no value and switches its field off.
+OPTIONS = {
+    "gallery": ("--gallery", str, _OPERATOR, "toeplitz, rot2, tridiag, convdiff_l1 or convdiff_l2"),
+    "input": ("--input", str, _OPERATOR, "Matrix Market file instead of a gallery"),
+    "n": ("--n", int, _ALL, "matrix dimension for dense/banded galleries"),
+    "grid": ("--grid", int, _OPERATOR, "convdiff interior grid points per side (n = grid^2)"),
+    "p": ("--p", int, _ALL, "block width (default 5)"),
+    "m_list": ("--m", _parse_int_list, ("matfun", "shifted", "flops"), "step counts, e.g. 10,15"),
+    "m_max": ("--m-max", int, ("curves",), "largest step count in the series"),
+    "funcs": ("--funcs", _names("function", FUNC_NAMES), ("matfun", "curves"),
+              f"comma-separated functions from: {','.join(FUNC_NAMES)}"),
+    "methods": ("--methods", _names("method", ("ebh", "eba")), ("matfun",), "ebh, eba or both"),
+    "rel_err": ("--no-rel-err", lambda t: str(t).lower() in ("1", "true", "yes"), ("matfun",),
+                "skip the exact reference (needed for large general operators)"),
+    "shifts": ("--shifts", _parse_shifts, ("shifted",), "start:end:count, e.g. 0:5:500"),
+    "eps": ("--eps", float, ("shifted",), "residual tolerance (default 2e-8)"),
+    "max_restarts": ("--max-restarts", int, ("shifted",), "restart cap (default 20)"),
+    "nnz": ("--nnz", int, ("flops",), "nonzeros of the operator"),
+    "seed": ("--seed", int, _OPERATOR, "PRNG seed for the random block (default 0)"),
+    "repeat": ("--repeat", int, ("matfun", "shifted"), "timing repetitions (default 10)"),
+    "out": ("--out", str, _ALL, "output path (flops: default stdout)"),
+}
+
+
 def _read_config_file(path):
     values = {}
     with open(path) as fh:
@@ -315,24 +317,18 @@ def _read_config_file(path):
                 raise BadConfig(f"config line {raw.strip()!r} is not key=value")
             key, val = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            values["m_list" if key == "m" else key] = val.strip()
+            key = "m_list" if key == "m" else key
+            # a field of another subcommand is fine: one file may serve several
+            if key not in OPTIONS:
+                raise BadConfig(f"unknown config key {key!r}")
+            values[key] = val.strip()
     return values
 
 
-# RunConfig field (and flag dest) -> parser; RunConfig holds the defaults.
-_OPTIONS = {
-    "gallery": str, "input": str, "out": str, "n": int, "grid": int, "p": int,
-    "seed": int, "repeat": int, "m_list": _parse_int_list, "m_max": int,
-    "funcs": _parse_funcs, "shifts": _parse_shifts, "eps": float,
-    "max_restarts": int, "nnz": int,
-    "methods": lambda t: tuple(s for s in str(t).split(",") if s),
-}
-
-
-def _resolve(args, command):
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    config = RunConfig(command=command)
-    for key, parse in _OPTIONS.items():
+def _resolve(args):
+    file_values = _read_config_file(args.config) if args.config else {}
+    config = RunConfig(command=args.command)
+    for key, (_, parse, _, _) in OPTIONS.items():
         value = getattr(args, key, None)
         value = file_values.get(key) if value is None else value
         if value is None:
@@ -341,30 +337,23 @@ def _resolve(args, command):
             setattr(config, key, parse(value))
         except ValueError as exc:
             raise BadConfig(f"bad value {value!r} for {key}") from exc
-    if getattr(args, "no_rel_err", False):
-        config.rel_err = False
-    elif "rel_err" in file_values:
-        config.rel_err = file_values["rel_err"].lower() in ("1", "true", "yes")
     for key in ("repeat", "p", "max_restarts", "m_list"):
         if np.min(getattr(config, key)) < 1:
             raise BadConfig(f"{key} must be >= 1")
     if not 0 < config.eps < np.inf:
         raise BadConfig(f"eps must be positive and finite, got {config.eps}")
-    for meth in config.methods:
-        if meth not in ("ebh", "eba"):
-            raise BadConfig(f"unknown method {meth!r}")
+    if config.out is None and config.command != "flops":
+        raise BadConfig(f"{config.command} needs --out")
     return config
 
 
-def _add_common(sub):
-    sub.add_argument("--gallery", help="problem name: toeplitz, rot2, tridiag, convdiff_l1, convdiff_l2")
-    sub.add_argument("--input", help="Matrix Market file instead of a gallery")
-    sub.add_argument("--n", type=int, help="matrix dimension for dense/banded galleries")
-    sub.add_argument("--grid", type=int, help="interior grid points per side for convdiff (n = grid^2)")
-    sub.add_argument("--p", type=int, help="block width (default 5)")
-    sub.add_argument("--seed", type=int, help="PRNG seed for the random block (default 0)")
-    sub.add_argument("--out", help="output CSV path")
-    sub.add_argument("--config", help="key=value file with defaults; flags win")
+# subcommand -> (runner, help)
+COMMANDS = {
+    "matfun": (run_matfun_table, "approximation table for f(A)V"),
+    "shifted": (run_shifted_table, "restarted shifted-system table"),
+    "curves": (run_curves, "error-vs-iteration series per function"),
+    "flops": (run_flops, "operation-count report"),
+}
 
 
 def build_parser():
@@ -373,56 +362,22 @@ def build_parser():
         description="Extended block Hessenberg harness: f(A)V tables, shifted solves, curves, flop counts.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    matfun = subs.add_parser("matfun", help="approximation table for f(A)V")
-    _add_common(matfun)
-    matfun.add_argument("--repeat", type=int, help="timing repetitions (default 10)")
-    matfun.add_argument("--m", dest="m_list", help="comma-separated step counts, e.g. 10,15")
-    matfun.add_argument("--funcs", help=f"comma-separated functions from: {','.join(FUNC_NAMES)}")
-    matfun.add_argument("--methods", help="comma-separated methods: ebh,eba")
-    matfun.add_argument("--no-rel-err", action="store_true",
-                        help="skip the exact reference (needed for large general operators)")
-
-    shifted = subs.add_parser("shifted", help="restarted shifted-system table")
-    _add_common(shifted)
-    shifted.add_argument("--repeat", type=int, help="timing repetitions (default 10)")
-    shifted.add_argument("--m", dest="m_list", help="comma-separated cycle lengths, e.g. 5,10")
-    shifted.add_argument("--shifts", help="start:end:count, e.g. 0:5:500")
-    shifted.add_argument("--eps", type=float, help="residual tolerance (default 2e-8)")
-    shifted.add_argument("--max-restarts", type=int, dest="max_restarts",
-                         help="restart cap (default 20)")
-
-    curves = subs.add_parser("curves", help="error-vs-iteration series per function")
-    _add_common(curves)
-    curves.add_argument("--m-max", type=int, dest="m_max", help="largest step count in the series")
-    curves.add_argument("--funcs", help=f"comma-separated functions from: {','.join(FUNC_NAMES)}")
-
-    flops = subs.add_parser("flops", help="operation-count report")
-    flops.add_argument("--n", type=int, required=True)
-    flops.add_argument("--p", type=int, required=True)
-    flops.add_argument("--m", dest="m_list", help="step count")
-    flops.add_argument("--nnz", type=int, required=True)
-    flops.add_argument("--out", help="output CSV path (default stdout)")
-    flops.add_argument("--config", help="key=value file with defaults; flags win")
+    for command, (_, command_help) in COMMANDS.items():
+        sub = subs.add_parser(command, help=command_help)
+        for key, (flag, _, commands, flag_help) in OPTIONS.items():
+            if command in commands:
+                switch = {"action": "store_const", "const": "no"} if flag.startswith("--no-") else {}
+                sub.add_argument(flag, dest=key, help=flag_help, **switch,
+                                 required=command == "flops" and key in ("n", "p", "nnz"))
+        sub.add_argument("--config", help="key=value file with defaults; flags win")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _resolve(args, args.command)
-        if args.command in ("matfun", "shifted") and config.out is None:
-            raise BadConfig(f"{args.command} needs --out")
-        if args.command == "matfun":
-            run_matfun_table(config)
-        elif args.command == "shifted":
-            run_shifted_table(config)
-        elif args.command == "curves":
-            run_curves(config)
-        elif args.command == "flops":
-            run_flops(config)
-    except EbhessError as exc:
+        COMMANDS[args.command][0](_resolve(args))
+    except (EbhessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

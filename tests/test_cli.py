@@ -1,10 +1,12 @@
+import argparse
+
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
 
 from ebhess import GallerySpec, ShiftedProblem, gallery, residual_direct, solve_shifted
-from ebhess.cli import main
+from ebhess.cli import build_parser, main
 
 
 def _read_csv(path):
@@ -269,3 +271,95 @@ class TestConfigFile:
         cfg.write_text("this is not key value\n")
         rc = main(["matfun", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+
+    def test_unknown_key_is_bad_config(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("gallery=rot2\nn=60\np=2\nm=2\nfuncs=exp\nrepeat=1\nsede=5\n")
+        out = tmp_path / "t.csv"
+        assert main(["matfun", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "sede" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fields_of_other_commands_are_accepted(self, tmp_path):
+        # one file may serve several commands: matfun ignores shifted's keys
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("gallery=rot2\nn=60\np=2\nm=2\nfuncs=exp\nrepeat=1\n"
+                       "shifts=0:1:3\neps=1e-6\nmax-restarts=4\nm-max=3\n")
+        out = str(tmp_path / "s.csv")
+        assert main(["matfun", "--config", str(cfg), "--out", out]) == 0
+        comments, _, rows = _read_csv(out)
+        assert "eps=" not in comments[0] and len(rows) == 2
+
+
+class TestOptionTable:
+    """What every subcommand accepts and echoes, pinned byte for byte."""
+
+    FLAGS = {
+        "matfun": {"--gallery", "--input", "--n", "--grid", "--p", "--m", "--funcs",
+                   "--methods", "--no-rel-err", "--seed", "--repeat", "--out", "--config"},
+        "shifted": {"--gallery", "--input", "--n", "--grid", "--p", "--m", "--shifts",
+                    "--eps", "--max-restarts", "--seed", "--repeat", "--out", "--config"},
+        "curves": {"--gallery", "--input", "--n", "--grid", "--p", "--m-max", "--funcs",
+                   "--seed", "--out", "--config"},
+        "flops": {"--n", "--p", "--m", "--nnz", "--out", "--config"},
+    }
+
+    def test_flags_and_required_flags(self):
+        (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(subs.choices) == set(self.FLAGS)
+        for name, sub in subs.choices.items():
+            actions = [a for a in sub._actions if a.option_strings != ["-h", "--help"]]
+            assert {s for a in actions for s in a.option_strings} == self.FLAGS[name], name
+            required = {s for a in actions if a.required for s in a.option_strings}
+            assert required == ({"--n", "--p", "--nnz"} if name == "flops" else set()), name
+
+    @pytest.mark.parametrize("args, suffix, echo", [
+        (["matfun", "--gallery", "rot2", "--n", "60", "--p", "2", "--m", "2,3",
+          "--funcs", "exp", "--seed", "7", "--repeat", "1"], ".csv",
+         "# command=matfun gallery=rot2 n=60 grid=0 p=2 m_list=2,3 funcs=exp "
+         "methods=ebh,eba rel_err=True seed=7 repeat=1"),
+        (["matfun", "--gallery", "rot2", "--n", "60", "--p", "2", "--m", "2",
+          "--funcs", "exp", "--methods", "eba", "--no-rel-err", "--repeat", "1"], ".csv",
+         "# command=matfun gallery=rot2 n=60 grid=0 p=2 m_list=2 funcs=exp "
+         "methods=eba rel_err=False seed=0 repeat=1"),
+        (["shifted", "--gallery", "convdiff_l1", "--grid", "8", "--p", "2",
+          "--shifts", "0:5:25", "--m", "3", "--repeat", "1"], ".csv",
+         "# command=shifted gallery=convdiff_l1 n=0 grid=8 p=2 m_list=3 "
+         "shifts=0.0,5.0,25 eps=2e-08 max_restarts=20 seed=0 repeat=1"),
+        (["curves", "--gallery", "toeplitz", "--n", "40", "--p", "2", "--m-max", "1",
+          "--funcs", "exp", "--seed", "3"], "_exp.csv",
+         "# command=curves gallery=toeplitz n=40 grid=0 p=2 m_max=1 funcs=exp seed=3"),
+        (["flops", "--n", "5000", "--p", "5", "--m", "10", "--nnz", "24995"], ".csv",
+         "# command=flops n=5000 p=5 m_list=10 nnz=24995 seed=0"),
+    ], ids=["matfun", "matfun-no-rel-err", "shifted", "curves", "flops"])
+    def test_echo_line(self, tmp_path, args, suffix, echo):
+        assert main(args + ["--out", str(tmp_path / "o.csv")]) == 0
+        with open(str(tmp_path / "o") + suffix) as fh:
+            assert fh.readline() == echo + "\n"
+
+    def test_flag_value_is_parsed_by_the_table(self, tmp_path, capsys):
+        # a flag value goes through the same parser as a config-file value
+        rc = main(["matfun", "--gallery", "rot2", "--n", "sixty", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "sixty" in capsys.readouterr().err
+
+
+class TestFailures:
+    def test_curves_names_files_from_the_whole_path(self, tmp_path):
+        (tmp_path / "run.d").mkdir()
+        args = ["curves", "--gallery", "toeplitz", "--n", "40", "--p", "2", "--m-max", "1",
+                "--funcs", "exp"]
+        assert main(args + ["--out", str(tmp_path / "run.d" / "fig1")]) == 0
+        assert (tmp_path / "run.d" / "fig1_exp").exists()
+        assert main(args + ["--out", str(tmp_path / "fig1.dat")]) == 0
+        assert (tmp_path / "fig1_exp.dat").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--config", "{tmp}/missing.cfg", "--out", "{tmp}/x.csv"],
+        ["--input", "{tmp}/missing.mtx", "--out", "{tmp}/x.csv"],
+        ["--gallery", "rot2", "--n", "40", "--out", "{tmp}/missing/x.csv"],
+    ])
+    def test_missing_file_exits_2(self, tmp_path, capsys, extra):
+        args = ["matfun", "--p", "2", "--m", "2", "--funcs", "exp", "--repeat", "1"]
+        assert main(args + [a.format(tmp=tmp_path) for a in extra]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
