@@ -8,13 +8,13 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dense import SMALL_DIM_LIMIT, as_block
 from .ebh import build_T, ebha_run
 from .eba import eba_run
 from .errors import AssumptionViolated, DimensionMismatch, Overflow
 from .matfun import expm, funm
+from .operators import scaled_laplacian
 
 # Points of [0, 1] at which exp_error_bound samples its coupling term.
 _BOUND_GRID = 65
@@ -75,17 +75,11 @@ def mf_eba(A, V, m, spec, *, reference=None):
     return _finish(app, m, reference, t0)
 
 
-def exact_dense(A_small, V, spec, small_dim_limit=SMALL_DIM_LIMIT):
+def exact_dense(A_small, V, spec):
     """Reference value f(A)V for a dense A within the small-dimension limit."""
-    A_small = np.asarray(A_small, dtype=float)
-    if A_small.shape[0] != A_small.shape[1]:
-        raise DimensionMismatch("exact_dense expects a square matrix")
-    if A_small.shape[0] > small_dim_limit:
-        raise DimensionMismatch(
-            f"n={A_small.shape[0]} exceeds small_dim_limit {small_dim_limit}"
-        )
-    V = as_block(V)
-    return funm(spec, A_small) @ V
+    if len(A_small) > SMALL_DIM_LIMIT:
+        raise DimensionMismatch(f"n={len(A_small)} exceeds the dense limit {SMALL_DIM_LIMIT}")
+    return funm(spec, A_small) @ as_block(V)
 
 
 def rot2_reference(A, V, spec):
@@ -108,11 +102,8 @@ def rot2_reference(A, V, spec):
 
 
 def _is_scaled_laplacian(A):
-    # True when A's entries are those of tridiag_scaled(n): n^2 tridiag(-1, 2, -1).
-    if A.structure != "banded":
-        return False
-    want = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(A.n, A.n)) * float(A.n) ** 2
-    return abs(A.to_sparse() - want).max() == 0.0
+    # True when A's entries are those of tridiag_scaled(n).
+    return A.structure == "banded" and abs(A.to_sparse() - scaled_laplacian(A.n)).max() == 0.0
 
 
 def tridiag_reference(A, V, spec):

@@ -27,16 +27,9 @@ from .shifted import ShiftedProblem, residual_direct, solve_shifted
 
 FUNC_NAMES = FunctionSpec.NAMES
 
-_GALLERY_ALIASES = {
-    "toeplitz": "toeplitz_inv_dist",
-    "toeplitz_inv_dist": "toeplitz_inv_dist",
-    "rot2": "rot2_blockdiag",
-    "rot2_blockdiag": "rot2_blockdiag",
-    "tridiag": "tridiag_scaled",
-    "tridiag_scaled": "tridiag_scaled",
-    "convdiff_l1": "convdiff_l1",
-    "convdiff_l2": "convdiff_l2",
-}
+# Short names; every other name goes to the gallery as given.
+_GALLERY_ALIASES = {"toeplitz": "toeplitz_inv_dist", "rot2": "rot2_blockdiag",
+                    "tridiag": "tridiag_scaled"}
 
 
 @dataclass
@@ -98,21 +91,15 @@ def _write_csv(path, config, header, rows, extra_comments=()):
 
 
 def make_operator(config):
-    """Build the operator selected by the config (gallery or Matrix Market file)."""
+    """Build the operator selected by the config (gallery or Matrix Market
+    file); the gallery judges the name and the size."""
     if config.input:
         return FactorizedOperator.from_sparse(read_matrix_market(config.input).matrix)
     if not config.gallery:
         raise BadConfig("either --gallery or --input is required")
-    name = _GALLERY_ALIASES.get(config.gallery.lower())
-    if name is None:
-        raise BadConfig(f"unknown gallery {config.gallery!r}")
-    if name.startswith("convdiff"):
-        if config.grid < 2:
-            raise BadConfig("convdiff galleries need --grid >= 2")
-        return gallery(GallerySpec(name, size=config.grid))
-    if config.n < 1:
-        raise BadConfig(f"gallery {name} needs --n >= 1")
-    return gallery(GallerySpec(name, size=config.n))
+    name = config.gallery.lower()
+    size = config.grid if name.startswith("convdiff") else config.n
+    return gallery(GallerySpec(_GALLERY_ALIASES.get(name, name), size=size))
 
 
 def _problem(config):
@@ -170,10 +157,7 @@ def run_matfun_table(config):
 def run_shifted_table(config):
     """Shifted-solver table: one row per m, with a direct-residual audit column."""
     A, C = _problem(config)
-    start, end, count = config.shifts
-    if count < 1:
-        raise BadConfig("need at least one shift")
-    sigmas = np.linspace(start, end, int(count))
+    sigmas = np.linspace(*config.shifts)
     opname = config.gallery or config.input
     rows = []
     for m in config.m_list:
@@ -266,15 +250,17 @@ def _names(kind, choices):
 
 
 def _parse_shifts(text):
+    # np.linspace would take a negative count as a bare ValueError
+    bad = BadConfig(f"bad shift range {text!r}: need start:end:count, finite ends, count >= 1")
     parts = str(text).split(":")
     if len(parts) != 3:
-        raise BadConfig(f"shifts must be start:end:count, got {text!r}")
+        raise bad
     try:
         shifts = (float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as exc:
-        raise BadConfig(f"bad shift range {text!r}") from exc
-    if not np.isfinite(shifts[:2]).all():
-        raise BadConfig(f"bad shift range {text!r}")
+        raise bad from exc
+    if not np.isfinite(shifts[:2]).all() or shifts[2] < 1:
+        raise bad
     return shifts
 
 
@@ -335,15 +321,18 @@ def _resolve(args):
             continue
         try:
             setattr(config, key, parse(value))
+        except BadConfig:
+            raise
         except ValueError as exc:
             raise BadConfig(f"bad value {value!r} for {key}") from exc
     for key in ("repeat", "p", "max_restarts", "m_list"):
         if np.min(getattr(config, key)) < 1:
             raise BadConfig(f"{key} must be >= 1")
-    if not 0 < config.eps < np.inf:
-        raise BadConfig(f"eps must be positive and finite, got {config.eps}")
     if config.out is None and config.command != "flops":
         raise BadConfig(f"{config.command} needs --out")
+    # checked before any work; no file is opened until the results are in
+    if config.out is not None and not os.path.isdir(os.path.dirname(config.out) or "."):
+        raise BadConfig(f"no directory for --out {config.out!r}")
     return config
 
 

@@ -92,5 +92,5 @@ class NotConverged(EbhessError):
         )
 
 
-class BadConfig(EbhessError):
-    """Invalid command-line or config-file settings."""
+class BadConfig(EbhessError, ValueError):
+    """Invalid settings."""

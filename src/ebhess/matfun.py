@@ -19,6 +19,7 @@ import scipy.linalg as sla
 
 from .dense import as_block
 from .errors import (
+    BadConfig,
     BranchCutViolation,
     DimensionMismatch,
     IllConditionedEigenbasis,
@@ -82,7 +83,7 @@ class FunctionSpec:
     @classmethod
     def from_name(cls, name):
         if name not in cls.NAMES:
-            raise ValueError(f"unknown function name {name!r}")
+            raise BadConfig(f"unknown function name {name!r}; choose from {','.join(cls.NAMES)}")
         return cls(name)
 
     def scalar_eval(self, z):

@@ -37,12 +37,8 @@ _DENSE_FALLBACK_N = 2000
 
 @dataclass(frozen=True)
 class GallerySpec:
-    """Named test problem.
-
-    ``size`` is the matrix dimension for ``toeplitz_inv_dist``,
-    ``rot2_blockdiag`` and ``tridiag_scaled``, and the number of interior
-    grid points per side for the convection-diffusion problems (n = size^2).
-    """
+    """Named test problem: ``name`` is a key of ``_GALLERY``, whose comment
+    says what ``size`` means for it."""
 
     name: str
     size: int = 0
@@ -65,9 +61,8 @@ class FactorizedOperator:
     operators below n = 2000, sparse LU otherwise.
     """
 
-    def __init__(self, n, nnz, apply_fn, solve_fn, sparse_fn, structure, rot2=None):
+    def __init__(self, n, apply_fn, solve_fn, sparse_fn, structure, rot2=None):
         self.n = int(n)
-        self.nnz = int(nnz)
         self.structure = structure
         self.rot2 = rot2  # (a, c) arrays for 2x2 block-diagonal operators
         self._apply = apply_fn
@@ -121,10 +116,8 @@ class FactorizedOperator:
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise DimensionMismatch("operator matrix must be square")
         lu, piv = _checked_lu(M)
-        nnz = int(np.count_nonzero(M))
         return cls(
             M.shape[0],
-            nnz,
             lambda B: M @ B,
             lambda B: sla.lu_solve((lu, piv), B),
             lambda: sp.csr_matrix(M),
@@ -151,7 +144,7 @@ class FactorizedOperator:
                 raise SingularOperator(str(exc)) from exc
             solve_fn = factor.solve
             structure = "banded" if banded else "sparse"
-        return cls(n, S.nnz, lambda B: S @ B, solve_fn, lambda: S, structure=structure)
+        return cls(n, lambda B: S @ B, solve_fn, lambda: S, structure=structure)
 
     @classmethod
     def from_rot2(cls, a, c):
@@ -183,14 +176,16 @@ class FactorizedOperator:
             vals = np.concatenate([np.repeat(a, 2), np.full(n // 2, c), np.full(n // 2, -c)])
             return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
-        nnz = n + 2 * (n // 2) if c != 0.0 else n
-        return cls(n, nnz, apply_fn, solve_fn, sparse_fn, structure="rot2", rot2=(a, c))
+        return cls(n, apply_fn, solve_fn, sparse_fn, structure="rot2", rot2=(a, c))
 
 
 def _checked_lu(M):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        lu, piv = sla.lu_factor(M)
+        try:
+            lu, piv = sla.lu_factor(M)
+        except ValueError as exc:  # scipy's finiteness check
+            raise SingularOperator("operator has non-finite entries") from exc
     d = np.abs(np.diag(lu))
     if d.size and d.min() <= np.finfo(float).tiny:
         raise SingularOperator("zero pivot in LU factorization")
@@ -254,12 +249,12 @@ def tridiag_scaled(n):
     """n^2 * tridiag(-1, 2, -1), the scaled 1-D Laplacian."""
     if n < 2:
         raise BadDimension("tridiag_scaled needs n >= 2")
-    S = sp.diags(
-        [np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
-        [-1, 0, 1],
-        format="csr",
-    ) * float(n) ** 2
-    return FactorizedOperator.from_sparse(S)
+    return FactorizedOperator.from_sparse(scaled_laplacian(n))
+
+
+def scaled_laplacian(n):
+    """The CSR matrix n^2 * tridiag(-1, 2, -1)."""
+    return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr") * float(n) ** 2
 
 
 def convdiff(k, kind):
@@ -277,14 +272,9 @@ def convdiff(k, kind):
     xi = idx % k
     yi = idx // k
     if kind == 1:
-        wx = np.full(n, 10.0)
-        wy = np.zeros(n)
-    elif kind == 2:
-        coef = 50.0 * ((xi + 1) * h + (yi + 1) * h)
-        wx = coef
-        wy = coef.copy()
+        wx, wy = np.full(n, 10.0), np.zeros(n)
     else:
-        raise UnknownGallery(f"convdiff kind {kind}")
+        wx = wy = 50.0 * ((xi + 1) * h + (yi + 1) * h)
     rows = [idx]
     cols = [idx]
     vals = [np.full(n, 4.0 / h**2)]
@@ -307,20 +297,23 @@ def convdiff(k, kind):
     return FactorizedOperator.from_sparse(S)
 
 
+# name -> builder of the size: the matrix dimension n for the first three,
+# the interior grid points per side k (n = k^2) for convection-diffusion.
+_GALLERY = {
+    "toeplitz_inv_dist": toeplitz_inv_dist,
+    "rot2_blockdiag": rot2_blockdiag,
+    "tridiag_scaled": tridiag_scaled,
+    "convdiff_l1": lambda k: convdiff(k, 1),
+    "convdiff_l2": lambda k: convdiff(k, 2),
+}
+
+
 def gallery(spec):
     """Build the named operator from a :class:`GallerySpec`."""
-    name = spec.name.lower()
-    if name == "toeplitz_inv_dist":
-        return toeplitz_inv_dist(spec.size)
-    if name == "rot2_blockdiag":
-        return rot2_blockdiag(spec.size)
-    if name == "tridiag_scaled":
-        return tridiag_scaled(spec.size)
-    if name == "convdiff_l1":
-        return convdiff(spec.size, 1)
-    if name == "convdiff_l2":
-        return convdiff(spec.size, 2)
-    raise UnknownGallery(spec.name)
+    build = _GALLERY.get(spec.name.lower())
+    if build is None:
+        raise UnknownGallery(f"unknown gallery {spec.name!r}; choose from {','.join(_GALLERY)}")
+    return build(spec.size)
 
 
 # ---------------------------------------------------------------------------

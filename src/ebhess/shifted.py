@@ -21,6 +21,7 @@ import scipy.linalg as sla
 from .dense import as_block, pivot_block_solve, plu_factor
 from .ebh import build_T, ebha_run, left_apply
 from .errors import (
+    BadConfig,
     Breakdown,
     DimensionMismatch,
     NotConverged,
@@ -44,11 +45,11 @@ class ShiftedProblem:
         self.C = as_block(self.C)
         self.shifts = np.atleast_1d(np.asarray(self.shifts, dtype=float))
         if not 0 < self.eps < np.inf:
-            raise ValueError("eps must be positive and finite")
+            raise BadConfig(f"eps must be positive and finite, got {self.eps}")
         if len(self.shifts) < 1:
-            raise ValueError("need at least one shift")
+            raise BadConfig("need at least one shift")
         if not np.isfinite(self.shifts).all():
-            raise ValueError("shifts must be finite")
+            raise BadConfig("shifts must be finite")
         if self.C.shape[0] != self.A.n:
             raise DimensionMismatch("C row count does not match the operator")
 

@@ -50,7 +50,7 @@ def nan_operator(n, seed, broken):
     base = random_sparse_operator(n, seed)
     actions = {"apply": base.apply, "solve": base.solve}
     actions[broken] = lambda B: np.full(B.shape, np.nan)
-    return FactorizedOperator(n, base.nnz, actions["apply"], actions["solve"],
+    return FactorizedOperator(n, actions["apply"], actions["solve"],
                               base.to_sparse, base.structure)
 
 

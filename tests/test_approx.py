@@ -174,9 +174,10 @@ class TestExactDense:
         want = (Q * np.log(w)) @ Q.T @ V
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(approx, "SMALL_DIM_LIMIT", 5)
         with pytest.raises(DimensionMismatch):
-            exact_dense(np.eye(10), np.ones((10, 1)), FunctionSpec.exp(), small_dim_limit=5)
+            exact_dense(np.eye(10), np.ones((10, 1)), FunctionSpec.exp())
 
     def test_rot2_reference_matches_dense(self):
         A = gallery(GallerySpec("rot2_blockdiag", size=40))

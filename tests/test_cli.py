@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from ebhess import GallerySpec, ShiftedProblem, gallery, residual_direct, solve_shifted
 from ebhess.cli import build_parser, main
+from ebhess import cli
 
 
 def _read_csv(path):
@@ -363,3 +364,52 @@ class TestFailures:
         args = ["matfun", "--p", "2", "--m", "2", "--funcs", "exp", "--repeat", "1"]
         assert main(args + [a.format(tmp=tmp_path) for a in extra]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("args", [
+        ["matfun", "--gallery", "rot2", "--n", "40", "--p", "2", "--m", "2", "--funcs", "exp",
+         "--repeat", "1"],
+        ["curves", "--gallery", "rot2", "--n", "40", "--p", "2", "--m-max", "2",
+         "--funcs", "exp"],
+    ], ids=["matfun", "curves"])
+    def test_missing_out_directory_fails_before_any_work(self, tmp_path, capsys,
+                                                         monkeypatch, args):
+        def no_work(config):
+            raise AssertionError("operator built before --out was checked")
+
+        monkeypatch.setattr(cli, "make_operator", no_work)
+        assert main(args + ["--out", str(tmp_path / "missing" / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--gallery", "foo", "--n", "40"],
+        ["--gallery", "tridiag", "--n", "1"],
+        ["--gallery", "rot2", "--n", "1"],
+        ["--gallery", "toeplitz"],
+        ["--gallery", "convdiff_l1", "--grid", "1"],
+        ["--gallery", "convdiff_l2"],
+    ], ids=["unknown", "tridiag-n1", "rot2-n1", "toeplitz-no-n", "convdiff-grid1",
+            "convdiff-no-grid"])
+    def test_bad_gallery_or_size_exits_2(self, tmp_path, capsys, extra):
+        out = tmp_path / "x.csv"
+        args = ["matfun", "--p", "2", "--m", "2", "--funcs", "exp", "--repeat", "1"]
+        assert main(args + extra + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+        if extra[1] == "foo":
+            assert "'foo'" in err and "convdiff_l2" in err and "toeplitz_inv_dist" in err
+
+    def test_full_gallery_names_are_accepted(self, tmp_path):
+        for name in ("toeplitz_inv_dist", "rot2_blockdiag", "tridiag_scaled"):
+            out = str(tmp_path / f"{name}.csv")
+            assert main(["matfun", "--gallery", name, "--n", "40", "--p", "2", "--m", "2",
+                         "--funcs", "exp", "--repeat", "1", "--out", out]) == 0
+
+    def test_matfun_ignores_the_eps_it_does_not_use(self, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("gallery=rot2\nn=40\np=2\nm=2\nfuncs=exp\nrepeat=1\neps=0\n")
+        assert main(["matfun", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0

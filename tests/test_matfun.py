@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from ebhess import matfun
 from ebhess import FactorizedOperator, FunctionSpec, expm, funm, laurent_apply, logm, sqrtm
 from ebhess.errors import BranchCutViolation, IllConditionedEigenbasis, Overflow
+from ebhess.errors import BadConfig
 
 
 class TestExpm:
@@ -228,6 +229,10 @@ class TestFunm:
         assert FunctionSpec.from_name("expnegsqrt").tag == "expnegsqrt"
         with pytest.raises(ValueError):
             FunctionSpec.from_name("sin")
+
+    def test_unknown_name_is_bad_config(self):
+        with pytest.raises(BadConfig, match="expinvx"):
+            FunctionSpec.from_name("cos")
 
     def test_custom_callable(self):
         got = funm(FunctionSpec.custom(lambda z: z**2), np.diag([2.0, 3.0]))

@@ -139,6 +139,19 @@ class TestApplySolve:
             FactorizedOperator.from_rot2(np.array([0.0, 1.0]), 0.0)
 
 
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("make", [
+        FactorizedOperator.from_dense,
+        lambda M: FactorizedOperator.from_sparse(sp.csr_matrix(M)),  # dense-LU branch
+    ], ids=["from_dense", "from_sparse"])
+    def test_non_finite_entry_is_singular_operator(self, make):
+        M = np.random.default_rng(0).random((30, 30)) + 30 * np.eye(30)
+        for bad in (np.nan, np.inf):
+            M[3, 7] = bad
+            with pytest.raises(SingularOperator, match="non-finite"):
+                make(M)
+
+
 class TestGallery:
     def test_toeplitz_entries_and_symmetry(self):
         A = gallery(GallerySpec("toeplitz_inv_dist", size=4)).to_dense()
@@ -188,6 +201,21 @@ class TestGallery:
     def test_unknown_gallery(self):
         with pytest.raises(UnknownGallery):
             gallery(GallerySpec("no_such_thing", size=4))
+
+    def test_unknown_gallery_names_the_choices(self):
+        with pytest.raises(UnknownGallery) as exc:
+            gallery(GallerySpec("foo", size=4))
+        for name in ("toeplitz_inv_dist", "rot2_blockdiag", "tridiag_scaled",
+                     "convdiff_l1", "convdiff_l2"):
+            assert name in str(exc.value)
+
+    @pytest.mark.parametrize("name, size", [
+        ("toeplitz_inv_dist", 0), ("rot2_blockdiag", 1), ("tridiag_scaled", 1),
+        ("convdiff_l1", 1), ("convdiff_l2", 0),
+    ])
+    def test_size_below_range_is_bad_dimension(self, name, size):
+        with pytest.raises(BadDimension):
+            gallery(GallerySpec(name, size=size))
 
     def test_condition_number_spot_check(self):
         # ||A|| ||A^-1|| with the inverse from the factored solve vs the SVD

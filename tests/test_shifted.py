@@ -16,6 +16,7 @@ from ebhess import (
     solve_shifted,
 )
 from ebhess.errors import NotConverged
+from ebhess.errors import BadConfig, Breakdown, ReducedSystemSingular
 from _util import random_block, random_sparse_operator
 
 
@@ -248,6 +249,46 @@ class TestSolveShifted:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 ShiftedProblem(A, C, [0.0, bad], m=2)
+
+
+class TestSolveShiftedExits:
+    def test_shift_singular_in_every_cycle_is_named(self):
+        # As in test_singular_reduced_system_retries_off_frame, but one cycle:
+        # the shift never gets a solvable reduced system before the cap.
+        A = random_sparse_operator(70, 6)
+        C = random_block(70, 1, 6)
+        ritz = np.linalg.eigvals(build_T(ebha_run(A, C, 2)).T)
+        sigma = -float(ritz[np.abs(ritz.imag) < 1e-12].real[0])
+        with pytest.raises(ReducedSystemSingular) as exc:
+            solve_shifted(ShiftedProblem(A, C, [sigma], m=2, eps=1e-9, max_restarts=1))
+        assert exc.value.sigma == sigma
+
+    def test_breakdown_on_invariant_seed_solves_in_one_cycle(self):
+        # span{e1, e2} is invariant under diag(1..40): block 2 breaks down
+        # and every shift is solved exactly on the seed's block.
+        A = FactorizedOperator.from_dense(np.diag(np.arange(1.0, 41.0)))
+        C = np.eye(40)[:, :2]
+        state = solve_shifted(ShiftedProblem(A, C, [0.0, 1.5], m=3, eps=1e-12))
+        assert state.converged.all() and state.restart_count == 1
+        for k, sigma in enumerate(state.shifts):
+            assert residual_direct(A, C, sigma, state.X[k]) == 0.0
+
+    def test_breakdown_on_non_invariant_seed_is_reraised(self):
+        # e1 + e2 spans no invariant subspace; the recursion still breaks
+        # down (at block 3), and that breakdown is what the caller sees.
+        A = FactorizedOperator.from_dense(np.diag(np.arange(1.0, 41.0)))
+        C = (np.eye(40)[:, 0] + np.eye(40)[:, 1])[:, None]
+        with pytest.raises(Breakdown) as exc:
+            solve_shifted(ShiftedProblem(A, C, [0.0, 1.5], m=3, eps=1e-12))
+        assert exc.value.step == 3
+
+    def test_bad_settings_are_bad_config(self):
+        A = random_sparse_operator(30, 7)
+        C = random_block(30, 1, 7)
+        with pytest.raises(BadConfig, match="eps"):
+            ShiftedProblem(A, C, [0.0], m=2, eps=-1.0)
+        with pytest.raises(BadConfig, match="shift"):
+            ShiftedProblem(A, C, [], m=2)
 
 
 class TestResidualDirect:
