@@ -16,10 +16,11 @@ from .errors import Breakdown
 
 @dataclass
 class OrthoBasis(BlockStore):
-    """Jointly orthonormal blocks U_1..U_{2m+2} with the projected matrix.
+    """Jointly orthonormal blocks U_1..U_{2m+1} with the projected matrix.
 
     ``store`` holds the blocks; ``blocks`` and ``matrix()`` are read-only
-    views of it (see :class:`BlockStore`).
+    views of it (see :class:`BlockStore`).  As in :func:`ebha_run`, the
+    block from A^{-1}U_{2m} is not built: the projection never reads it.
     """
 
     n: int
@@ -49,7 +50,7 @@ def eba_run(A, V, m):
     """
     V, n, p = start_block(A, V, m)
     U1, lam11 = _qr_normalize(V, 1)
-    store = np.empty((n, (2 * m + 2) * p), order="F")
+    store = np.empty((n, (2 * m + 1) * p), order="F")
 
     def block(k):
         return store[:, k * p : (k + 1) * p]
@@ -67,9 +68,8 @@ def eba_run(A, V, m):
 
     block(0)[...] = U1
     extend(1, A.solve(V))
-    for j in range(1, m + 1):
-        extend(2 * j, A.apply(block(2 * j - 2)))
-        extend(2 * j + 1, A.solve(block(2 * j - 1)))
+    for k in range(2, 2 * m + 1):
+        extend(k, (A.solve if k % 2 else A.apply)(block(k - 2)))
 
     Ub = store[:, : 2 * m * p]
     T = Ub.T @ A.apply(Ub)

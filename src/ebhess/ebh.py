@@ -1,7 +1,7 @@
 """Extended block Hessenberg process with pivoting and its projected matrices.
 
-The process builds a unit lower trapezoidal basis V_1, ..., V_{2m+2} for the
-extended block Krylov space spanned by {A^{-m}V, ..., A^{-1}V, V, ..., A^{m-1}V}.
+The process builds a unit lower trapezoidal basis V_1, ..., V_{2m+1}; its first
+2m blocks span the extended block Krylov space {A^{-m}V, ..., A^{-1}V, V, ..., A^{m-1}V}.
 Each new candidate block is obliquely projected against the pivot rows of the
 earlier blocks (rather than orthogonally against the blocks themselves), and
 normalized with a pivoted LU in place of a QR factorization.
@@ -41,10 +41,10 @@ class BlockStore:
 class ExtendedBasis(BlockStore):
     """Basis blocks, pivot sets and recursion coefficients from :func:`ebha_run`.
 
-    ``store`` holds the 2m+2 basis blocks; ``blocks`` and ``matrix()`` are
+    ``store`` holds the 2m+1 basis blocks; ``blocks`` and ``matrix()`` are
     read-only views of it (see :class:`BlockStore`).  ``pivot_sets[k]``
     holds the p rows where ``blocks[k]`` carries its unit lower triangle.
-    ``H`` is the (2m+2)p x (2m+1)p block upper Hessenberg array of recursion
+    ``H`` is the (2m+1)p x 2mp block upper Hessenberg array of recursion
     coefficients: its p-by-p block (i, c), 0-based, is the coefficient of
     ``blocks[i]`` for the candidate from ``blocks[c-1]`` (V for c = 0), so
     column block 0 is [gamma12; gamma22]; ``gamma11`` ties ``blocks[0]`` to V.
@@ -105,9 +105,13 @@ def ebha_run(A, V, m):
     V : (n, p) ndarray
         Full column rank starting block; 2(m+1)p <= n is required.
     m : int
-        Number of steps; 2m+2 basis blocks are produced.
+        Number of steps; 2m+1 basis blocks are produced.
 
-    Memory: the n x (2m+2)p store plus O(np) working memory; each candidate
+    The paper's process goes on to a block V_{2m+2} from A^{-1}V_{2m}.  T,
+    tau and the restart seed V_{2m+1} never read it, so its solve, its
+    projection and its normalization are not done.
+
+    Memory: the n x (2m+1)p store plus O(np) working memory; each candidate
     block is projected and factored in its own slot of the store.
 
     Raises
@@ -120,10 +124,10 @@ def ebha_run(A, V, m):
     """
     V, n, p = start_block(A, V, m)
     used = np.zeros(n, dtype=bool)
-    store = np.empty((n, (2 * m + 2) * p), order="F")
-    blocks = [store[:, k * p : (k + 1) * p] for k in range(2 * m + 2)]
+    store = np.empty((n, (2 * m + 1) * p), order="F")
+    blocks = [store[:, k * p : (k + 1) * p] for k in range(2 * m + 1)]
     pivots, pivot_blocks = [], []
-    H = np.zeros(((2 * m + 2) * p, (2 * m + 1) * p), order="F")
+    H = np.zeros(((2 * m + 1) * p, 2 * m * p), order="F")
     trtrs, = sla.get_lapack_funcs(("trtrs",), (store,))
     gemm, = sla.get_blas_funcs(("gemm",), (store,))
 
@@ -164,7 +168,7 @@ def ebha_run(A, V, m):
     load(1, V)
     g11 = normalize(1)
     # Column 0 is the startup candidate A^{-1}V; its coefficients are [gamma12; gamma22].
-    for col in range(2 * m + 1):
+    for col in range(2 * m):
         # Modified Gram-Schmidt order, block by block: H = L_i^{-1} W[p_i] with
         # L_i = V_i[p_i], then W -= V_i H in place.  One forward substitution over
         # all earlier blocks (classical order) loses ~1.5 digits of the identities.
@@ -213,8 +217,8 @@ def build_T(basis):
     p, m, H = basis.p, basis.m, basis.H
     rows = (2 * m + 1) * p
     Te = np.zeros((rows, 2 * m * p))
-    copied = np.arange(2 * m * p) // p % 2 == 0
-    Te[:, copied] = H[:rows, p:][:, copied]
+    even = (np.arange(0, 2 * m * p, 2 * p)[:, None] + np.arange(p)).ravel()
+    Te[:, even] = H[:, even + p]
 
     for c in range(0, 2 * m - 1, 2):
         # The candidate of column block c is A^{-1} V_c (V_0 = V = V_1 gamma11).
@@ -249,15 +253,16 @@ def projection_gap(basis, A):
 
 
 def build_S(basis, A):
-    """Inverse projection of A onto the basis plus its trailing tail blocks.
+    """Inverse projection of A onto the basis plus its trailing tail block.
 
     Returns ``(S, tail)`` where S is the 2mp x 2mp projection of A^{-1} and
-    ``tail`` stacks the two p-by-p blocks coupling the last column pair to
-    V_{2m+1} and V_{2m+2}.
+    ``tail`` is the p-by-p coordinate of A^{-1}V_{2m} on V_{2m+1}.  Its part
+    along the unbuilt V_{2m+2} is not resolved, so A^{-1}V_{2m} is matched
+    on the pivot rows of the 2m+1 blocks only.
     """
     p, m = basis.p, basis.m
     Vb = basis.matrix(2 * m)
-    full = left_apply(basis, A.solve(Vb), 2 * m + 2)
+    full = left_apply(basis, A.solve(Vb), 2 * m + 1)
     S = full[: 2 * m * p, :]
     tail = full[2 * m * p :, (2 * m - 1) * p :]
     return S, tail

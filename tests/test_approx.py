@@ -80,6 +80,18 @@ class TestMfEbh:
         want = A.solve(V)
         assert np.linalg.norm(res.approximation - want) <= 1e-8 * np.linalg.norm(want)
 
+    def test_late_happy_breakdown_is_never_reached(self):
+        # At m = 1 the recursion on this seed would break down at block 4,
+        # which the approximation does not use: mf_ebh returns the m = 1
+        # approximation, exact for 1/x.
+        A = FactorizedOperator.from_dense(np.diag(np.arange(1.0, 41.0)))
+        V = np.zeros((40, 1))
+        V[:3] = 1.0
+        res = mf_ebh(A, V, 1, FunctionSpec.resolvent(0.0))
+        want = A.solve(V)
+        assert np.linalg.norm(res.approximation - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.isfinite(mf_ebh(A, V, 1, FunctionSpec.exp()).approximation).all()
+
     @pytest.mark.parametrize("seed", range(4))
     def test_laurent_window_exactness(self, seed):
         n, p, m = 80, 2, 3

@@ -114,7 +114,7 @@ class TestEbhaRun:
         n = 50 + 10 * seed
         A = random_sparse_operator(n, seed)
         basis = ebha_run(A, random_block(n, p, seed), m)
-        assert len(basis.blocks) == 2 * m + 2
+        assert len(basis.blocks) == 2 * m + 1
         all_pivots = np.concatenate(basis.pivot_sets)
         assert len(np.unique(all_pivots)) == len(all_pivots)
         for j, Vj in enumerate(basis.blocks):
@@ -170,10 +170,28 @@ class TestEbhaRun:
         for k in (3, 5, 9):
             small = ebha_run(A, V, k)
             proj = build_T(small)
-            assert_array_equal(small.H, big.H[: (2 * k + 2) * p, : (2 * k + 1) * p])
-            assert_array_equal(small.store, big.store[:, : (2 * k + 2) * p])
+            assert_array_equal(small.H, big.H[: (2 * k + 1) * p, : 2 * k * p])
+            assert_array_equal(small.store, big.store[:, : (2 * k + 1) * p])
             assert_array_equal(proj.T, big_T[: 2 * k * p, : 2 * k * p])
             assert_array_equal(proj.tau, big_T[2 * k * p : (2 * k + 1) * p, (2 * k - 2) * p : 2 * k * p])
+
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_one_solve_and_one_apply_per_step(self, m):
+        # The 2m candidates alternate solve and apply; no block past
+        # V_{2m+1} is built, so no (m+1)-th solve.
+        base = gallery(GallerySpec("convdiff_l1", 12))
+        calls = {"apply": 0, "solve": 0}
+
+        def counted(name):
+            def act(B):
+                calls[name] += 1
+                return getattr(base, name)(B)
+            return act
+
+        A = FactorizedOperator(base.n, counted("apply"), counted("solve"),
+                               base.to_sparse, base.structure)
+        ebha_run(A, random_block(base.n, 2, m), m)
+        assert calls == {"apply": m, "solve": m}
 
     def test_peak_memory_is_the_store_plus_working_blocks(self):
         # Each candidate is projected and factored in its slot of the store,
@@ -206,13 +224,15 @@ class TestEbhaRun:
     # sequential start without a second projection sweep remains.
     @pytest.mark.parametrize("p", [pytest.param(p, id=f"{p}-False-False") for p in (1, 2, 3)])
     def test_bit_identical_to_sequential_oracle(self, p):
+        # The oracle runs the paper's full process to V_{2m+2}; ebha_run
+        # stops at V_{2m+1}, so it must equal the oracle's leading part.
         n, m = 60, 3
         A = random_sparse_operator(n, 30 + p)
         V = random_block(n, p, 30 + p)
         basis = ebha_run(A, V, m)
         store, pivots, H, (g11, g12, g22) = reference_ebha(A, V, m)
-        assert_array_equal(basis.store, store)
-        for got, want in zip(basis.pivot_sets, pivots, strict=True):
+        assert_array_equal(basis.store, store[:, : (2 * m + 1) * p])
+        for got, want in zip(basis.pivot_sets, pivots[: 2 * m + 1], strict=True):
             assert_array_equal(got, want)
         # The oracle's blocks in the coefficient array's layout: the 1-based
         # key (i, c) is block (i-1, c), and column block 0 is [gamma12; gamma22].
@@ -220,7 +240,7 @@ class TestEbhaRun:
         want[:p, :p], want[p : 2 * p, :p] = g12, g22
         for (i, c), Hc in H.items():
             want[(i - 1) * p : i * p, c * p : (c + 1) * p] = Hc
-        assert_array_equal(basis.H, want)
+        assert_array_equal(basis.H, want[: (2 * m + 1) * p, : 2 * m * p])
         assert_array_equal(basis.gamma11, g11)
 
 
@@ -322,16 +342,19 @@ class TestBuildT:
 
 class TestBuildS:
     def test_inverse_decomposition_and_tail(self):
+        # A^{-1}V_{2m} also has a part along the unbuilt V_{2m+2}, so the last
+        # column block closes only on the pivot rows of the 2m+1 blocks.
         A = random_sparse_operator(60, 14)
         p, m = 2, 3
         basis = ebha_run(A, random_block(60, p, 14), m)
         S, tail = build_S(basis, A)
         Vb = basis.matrix(2 * m)
         W = A.solve(Vb)
-        tail_term = np.hstack(basis.blocks[2 * m : 2 * m + 2]) @ tail
         resid = W - Vb @ S
-        resid[:, -p:] -= tail_term
-        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(W)
+        scale = np.linalg.norm(W)
+        assert np.linalg.norm(resid[:, :-p]) <= 1e-10 * scale
+        last = resid[:, -p:] - basis.blocks[2 * m] @ tail
+        assert np.linalg.norm(last[basis.pivot_rows(2 * m + 1), :]) <= 1e-10 * scale
 
     def test_powers_match_inverse_powers(self):
         A = random_sparse_operator(60, 15)

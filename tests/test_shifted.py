@@ -282,6 +282,18 @@ class TestSolveShiftedExits:
             solve_shifted(ShiftedProblem(A, C, [0.0, 1.5], m=3, eps=1e-12))
         assert exc.value.step == 3
 
+    def test_late_happy_breakdown_is_never_reached(self):
+        # span{e1, e2, e3} is invariant under diag(1..40).  At m = 1 the
+        # recursion would break down at block 4, the block after the restart
+        # seed; that block is not built, so the solve restarts and converges.
+        A = FactorizedOperator.from_dense(np.diag(np.arange(1.0, 41.0)))
+        C = np.zeros((40, 1))
+        C[:3] = 1.0
+        state = solve_shifted(ShiftedProblem(A, C, [0.0, 1.5], m=1, eps=1e-10))
+        assert state.converged.all() and state.restart_count == 2
+        for k, sigma in enumerate(state.shifts):
+            assert residual_direct(A, C, sigma, state.X[k]) <= 1e-14
+
     def test_bad_settings_are_bad_config(self):
         A = random_sparse_operator(30, 7)
         C = random_block(30, 1, 7)
