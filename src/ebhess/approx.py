@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import SMALL_DIM_LIMIT, as_block
-from .ebh import build_T, ebha_run
+from .ebh import build_T, ebha_run, invariant_projection
 from .eba import eba_run
-from .errors import AssumptionViolated, DimensionMismatch, Overflow
+from .errors import AssumptionViolated, Breakdown, DimensionMismatch, Overflow
 from .matfun import expm, funm
 from .operators import scaled_laplacian
 
@@ -54,14 +54,19 @@ def _finish(app, m, reference, t0):
 def mf_ebh(A, V, m, spec, *, reference=None):
     """Approximate f(A)V with the pivoted extended block Hessenberg method.
 
+    A breakdown on an A-invariant span finishes exactly there; others re-raise.
     ``reference`` (the exact value, when affordable) fills ``relative_error``.
     """
     V = as_block(V)
     t0 = time.perf_counter()
-    basis = ebha_run(A, V, m)
-    proj = build_T(basis)
-    F = funm(spec, proj.T)
-    app = basis.matrix(2 * m) @ (F[:, : basis.p] @ basis.gamma11)
+    try:
+        basis = ebha_run(A, V, m)
+    except Breakdown as exc:
+        basis, T = exc.basis, invariant_projection(A, exc.basis, exc)
+    else:
+        T = build_T(basis).T
+    F = funm(spec, T)
+    app = basis.matrix(len(T) // basis.p) @ (F[:, : basis.p] @ basis.gamma11)
     return _finish(app, m, reference, t0)
 
 

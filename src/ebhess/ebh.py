@@ -41,13 +41,14 @@ class BlockStore:
 class ExtendedBasis(BlockStore):
     """Basis blocks, pivot sets and recursion coefficients from :func:`ebha_run`.
 
-    ``store`` holds the 2m+1 basis blocks; ``blocks`` and ``matrix()`` are
-    read-only views of it (see :class:`BlockStore`).  ``pivot_sets[k]``
-    holds the p rows where ``blocks[k]`` carries its unit lower triangle.
-    ``H`` is the (2m+1)p x 2mp block upper Hessenberg array of recursion
-    coefficients: its p-by-p block (i, c), 0-based, is the coefficient of
-    ``blocks[i]`` for the candidate from ``blocks[c-1]`` (V for c = 0), so
-    column block 0 is [gamma12; gamma22]; ``gamma11`` ties ``blocks[0]`` to V.
+    ``store`` holds the 2m+1 basis blocks (fewer, with H cut to match, in a
+    ``Breakdown.basis``); ``blocks`` and ``matrix()`` are read-only views of
+    it (see :class:`BlockStore`).  ``pivot_sets[k]`` holds the p rows where
+    ``blocks[k]`` carries its unit lower triangle.  ``H`` is the (2m+1)p x 2mp
+    block upper Hessenberg array of recursion coefficients: its p-by-p block
+    (i, c), 0-based, is the coefficient of ``blocks[i]`` for the candidate from
+    ``blocks[c-1]`` (V for c = 0), so column block 0 is [gamma12; gamma22];
+    ``gamma11`` ties ``blocks[0]`` to V.
     """
 
     n: int
@@ -79,6 +80,11 @@ class ProjectedData:
     tau: np.ndarray
 
 
+def basis_fits(n, p, m):
+    """The size rule of an m-step process: its 2m+1 blocks of p columns fit in n rows."""
+    return (2 * m + 1) * p <= n
+
+
 def start_block(A, V, m):
     """Check the starting block of an m-step extended process; return it as
     a float (n, p) array with n and p."""
@@ -88,8 +94,8 @@ def start_block(A, V, m):
         raise DimensionMismatch(f"V has {n} rows, operator is {A.n}")
     if p < 1:
         raise DimensionMismatch("V has no columns")
-    if 2 * (m + 1) * p > n:
-        raise DimensionMismatch(f"2(m+1)p = {2 * (m + 1) * p} exceeds n = {n}")
+    if not basis_fits(n, p, m):
+        raise DimensionMismatch(f"(2m+1)p = {(2 * m + 1) * p} exceeds n = {n}")
     if m < 1:
         raise DimensionMismatch("need at least one step")
     return V, n, p
@@ -103,7 +109,7 @@ def ebha_run(A, V, m):
     A : FactorizedOperator
         Nonsingular operator with ``apply`` and ``solve``.
     V : (n, p) ndarray
-        Full column rank starting block; 2(m+1)p <= n is required.
+        Full column rank starting block; (2m+1)p <= n is required.
     m : int
         Number of steps; 2m+1 basis blocks are produced.
 
@@ -117,8 +123,8 @@ def ebha_run(A, V, m):
     Raises
     ------
     Breakdown
-        When a candidate block is rank deficient (the extended space is
-        exhausted); ``step`` carries the 1-based index of the failing block.
+        When a candidate block is rank deficient (the extended space is exhausted);
+        ``step`` is its 1-based index, ``basis`` the blocks before it (None at block 1).
     Overflow
         When a candidate block has a NaN or inf entry; the message names it.
     """
@@ -167,19 +173,24 @@ def ebha_run(A, V, m):
 
     load(1, V)
     g11 = normalize(1)
-    # Column 0 is the startup candidate A^{-1}V; its coefficients are [gamma12; gamma22].
-    for col in range(2 * m):
-        # Modified Gram-Schmidt order, block by block: H = L_i^{-1} W[p_i] with
-        # L_i = V_i[p_i], then W -= V_i H in place.  One forward substitution over
-        # all earlier blocks (classical order) loses ~1.5 digits of the identities.
-        W, Hcol = blocks[col + 1], H[:, col * p : (col + 1) * p]
-        act = A.apply if col % 2 else A.solve
-        scale = load(col + 2, act(blocks[col - 1] if col else V))
-        for i in range(col + 1):
-            Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], lower=1, unitdiag=1)
-            gemm(-1.0, blocks[i], Hc, beta=1.0, c=W, overwrite_c=1)
-            Hcol[i * p : (i + 1) * p] = Hc
-        Hcol[(col + 1) * p : (col + 2) * p] = normalize(col + 2, scale)
+    try:
+        # Column 0 is the startup candidate A^{-1}V; its coefficients are [gamma12; gamma22].
+        for col in range(2 * m):
+            # Modified Gram-Schmidt order, block by block: H = L_i^{-1} W[p_i] with
+            # L_i = V_i[p_i], then W -= V_i H in place.  One forward substitution over
+            # all earlier blocks (classical order) loses ~1.5 digits of the identities.
+            W, Hcol = blocks[col + 1], H[:, col * p : (col + 1) * p]
+            act = A.apply if col % 2 else A.solve
+            scale = load(col + 2, act(blocks[col - 1] if col else V))
+            for i in range(col + 1):
+                Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], lower=1, unitdiag=1)
+                gemm(-1.0, blocks[i], Hc, beta=1.0, c=W, overwrite_c=1)
+                Hcol[i * p : (i + 1) * p] = Hc
+            Hcol[(col + 1) * p : (col + 2) * p] = normalize(col + 2, scale)
+    except Breakdown as exc:
+        kp = (exc.step - 1) * p
+        exc.basis = ExtendedBasis(n, p, m, store[:, :kp], pivots, H[:kp, : kp - p], g11)
+        raise
     return ExtendedBasis(n, p, m, store, pivots, H, g11)
 
 
@@ -236,6 +247,17 @@ def build_T(basis):
     T = Te[: 2 * m * p, :].copy()
     tau = Te[2 * m * p :, (2 * m - 2) * p :].copy()
     return ProjectedData(T, tau)
+
+
+def invariant_projection(A, basis, error):
+    """Projection T of A onto the blocks Vb of a ``Breakdown.basis`` if they span an
+    A-invariant subspace (||A Vb - Vb T|| <= 1e-12 ||A Vb||); else, or for None, raise ``error``."""
+    if basis is not None:
+        AV = A.apply(basis.store)
+        T = left_apply(basis, AV, len(basis.blocks))
+        if np.linalg.norm(AV - basis.store @ T) <= 1e-12 * np.linalg.norm(AV):
+            return T
+    raise error
 
 
 def build_T_direct(basis, A):

@@ -46,10 +46,11 @@ class UnsupportedField(EbhessError):
 
 
 class Breakdown(EbhessError):
-    """The basis recursion produced a rank-deficient candidate block."""
+    """A rank-deficient candidate block; ``basis`` holds the blocks before it (None at block 1)."""
 
     def __init__(self, step, message=None):
         self.step = step
+        self.basis = None
         super().__init__(message or f"breakdown while constructing block {step}")
 
 

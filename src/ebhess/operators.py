@@ -392,12 +392,12 @@ def read_matrix_market(path):
 
 
 def flop_estimate(n, p, m, nnz):
-    """Flop count for m steps of the basis recursion.
-
-    ``summed`` accumulates the elementary costs step by step and is the
-    authoritative figure; ``closed_form`` evaluates the collapsed expression
-    and is returned alongside so discrepancies stay visible.  Both are exact
-    rationals evaluated in integer arithmetic before conversion.
+    """Flop count of the paper's m-step process up to V_{2m+2}: an n x 2p startup
+    LU and 2m^2+3m block projections.  ``ebha_run`` stops at V_{2m+1} (2m^2+m
+    block updates, 2m+1 n x p LUs); acceptance criterion 8 pins the paper's model.
+    ``summed`` adds the elementary costs step by step and is authoritative;
+    ``closed_form`` is the collapsed expression, returned so discrepancies stay
+    visible.  Both are exact rationals evaluated in integer arithmetic first.
     """
     n, p, m, nnz = (Fraction(int(v)) for v in (n, p, m, nnz))
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import as_block, pivot_block_solve, plu_factor
-from .ebh import build_T, ebha_run, left_apply
+from .dense import as_block, pivot_block_solve, plu_factor  # pivot_block_solve: tracer only
+from .ebh import ExtendedBasis, basis_fits, build_T, ebha_run, invariant_projection, left_apply
 from .errors import (
     BadConfig,
     Breakdown,
@@ -114,6 +114,7 @@ def solve_shifted(problem, observer=None):
     A shift whose reduced system is singular skips the cycle and is retried
     on the next basis with its residual reduced explicitly.  ``observer``,
     when given, is called with a :class:`CycleRecord` after every cycle.
+    A breakdown on an A-invariant span finishes exactly there; others re-raise.
 
     Raises :class:`NotConverged` (with the partial state attached) if the
     restart cap is hit first.
@@ -141,8 +142,14 @@ def solve_shifted(problem, observer=None):
     in_frame = np.ones(K, dtype=bool)
     stalled_resid = {}  # index -> explicit residual block (n, p)
 
-    if 2 * (m + 1) * p > n:
-        _invariant_subspace_solve(problem, state, seed, None)
+    if not basis_fits(n, p, m):
+        try:
+            f = plu_factor(seed)
+        except RankDeficient as exc:
+            raise Breakdown(1) from exc
+        b = ExtendedBasis(n, p, m, f.permuted_unit_lower, [f.pivot_rows], np.zeros((p, 0)), f.upper)
+        _invariant_subspace_solve(problem, state, b, DimensionMismatch(
+            "operator too small for m steps and seed subspace is not invariant"))
         return state
 
     N = 2 * m * p
@@ -169,7 +176,7 @@ def solve_shifted(problem, observer=None):
         try:
             basis = ebha_run(A, seed, m)
         except Breakdown as exc:
-            _invariant_subspace_solve(problem, state, seed, exc)
+            _invariant_subspace_solve(problem, state, exc.basis, exc)
             return state
         proj = build_T(basis)
         Vb = basis.matrix(2 * m)
@@ -258,50 +265,25 @@ def solve_shifted(problem, observer=None):
         del basis, next_seed
 
 
-def _invariant_subspace_solve(problem, state, seed, original):
-    """Finish the solve when the seed spans an A-invariant subspace.
-
-    This happens when the inverse action of the first block stays inside its
-    own span (an eigenspace seed): the projection onto that block is then
-    exact and every shift solves in one small system.  If the invariance
-    check fails, the original breakdown is re-raised.
-    """
-    A = problem.A
-    try:
-        f = plu_factor(seed)
-    except RankDeficient as exc:
-        raise original if original is not None else Breakdown(1) from exc
-    V1, g11, p1 = f.permuted_unit_lower, f.upper, f.pivot_rows
-    AinvV1 = A.solve(V1)
-    coeff = pivot_block_solve(V1, p1, AinvV1)
-    leftover = AinvV1 - V1 @ coeff
-    scale = max(np.linalg.norm(AinvV1), np.finfo(float).tiny)
-    if np.linalg.norm(leftover) > 1e-12 * scale:
-        if original is not None:
-            raise original
-        raise DimensionMismatch(
-            "operator too small for one step and seed subspace is not invariant"
-        )
-    T1 = pivot_block_solve(V1, p1, A.apply(V1))
-    p = V1.shape[1]
-    unresolved = []
+def _invariant_subspace_solve(problem, state, basis, error):
+    """Solve every shift exactly on ``basis`` (the blocks before a breakdown, or
+    the seed's block) if they span an A-invariant subspace; else raise ``error``."""
+    T = invariant_projection(problem.A, basis, error)
     for k in np.where(~state.converged)[0]:
         # Commit only updates that actually converge: the projection here is
         # exact, so anything else (sigma on the invariant block's spectrum,
         # stalled off-frame shifts) must not pollute X.
+        rhs = np.eye(len(T), basis.p) @ basis.gamma11 @ state.beta0[k]
         try:
-            Y = np.linalg.solve(T1 + problem.shifts[k] * np.eye(p), g11 @ state.beta0[k])
+            Y = np.linalg.solve(T + problem.shifts[k] * np.eye(len(T)), rhs)
         except np.linalg.LinAlgError:
-            unresolved.append(k)
             continue
-        X_trial = state.X[k] + V1 @ Y
-        res = residual_direct(A, problem.C, problem.shifts[k], X_trial)
+        X_trial = state.X[k] + basis.store @ Y
+        res = residual_direct(problem.A, problem.C, problem.shifts[k], X_trial)
         if np.isfinite(res) and res < problem.eps:
             state.X[k] = X_trial
             state.residual_history[k].append(res)
             state.converged[k] = True
-        else:
-            unresolved.append(k)
     state.restart_count += 1
-    if unresolved:
-        raise NotConverged(problem.shifts[unresolved], state)
+    if not state.converged.all():
+        raise NotConverged(problem.shifts[~state.converged], state)

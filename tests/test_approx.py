@@ -92,6 +92,17 @@ class TestMfEbh:
         assert np.linalg.norm(res.approximation - want) <= 1e-12 * np.linalg.norm(want)
         assert np.isfinite(mf_ebh(A, V, 1, FunctionSpec.exp()).approximation).all()
 
+    @pytest.mark.parametrize("k,tol", [(2, 1e-15), (5, 1e-13)])
+    def test_happy_breakdown_finishes_exactly(self, k, tol):
+        # span{e1..ek} is invariant under diag(1..40): block k+1 breaks down,
+        # and exp(A)V is exact on the k completed blocks.
+        A = FactorizedOperator.from_dense(np.diag(np.arange(1.0, 41.0)))
+        V = np.zeros((40, 1))
+        V[:k] = 1.0
+        res = mf_ebh(A, V, 3, FunctionSpec.exp())
+        want = np.exp(np.arange(1.0, 41.0))[:, None] * V
+        assert np.linalg.norm(res.approximation - want) <= tol * np.linalg.norm(want)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_laurent_window_exactness(self, seed):
         n, p, m = 80, 2, 3

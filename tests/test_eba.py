@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 from ebhess import FactorizedOperator, eba_run, ebha_run
 from ebhess.errors import Breakdown, DimensionMismatch
-from _util import random_block, random_sparse_operator
+from _util import random_block, random_sparse_operator, spread_spectrum_operator
 
 
 class TestEbaRun:
@@ -62,7 +62,15 @@ class TestEbaRun:
         with pytest.raises(Breakdown):
             eba_run(A, np.hstack([V, V]), 2)
 
+    @pytest.mark.parametrize("n,p,m", [(10, 2, 2), (7, 1, 3), (15, 3, 2)])
+    def test_size_rule_boundary(self, n, p, m):
+        # (2m+1)p = n: the 2m+1 orthonormal blocks fill the space.
+        basis = eba_run(spread_spectrum_operator(n, 0), random_block(n, p, 0), m)
+        U = basis.store
+        assert U.shape == (n, n)
+        assert np.linalg.norm(U.T @ U - np.eye(n)) <= 1e-12 * n
+
     def test_dimension_guard(self):
         A = random_sparse_operator(10, 7)
         with pytest.raises(DimensionMismatch):
-            eba_run(A, random_block(10, 2, 7), 2)
+            eba_run(A, random_block(10, 2, 7), 3)  # (2m+1)p = 14 > 10

@@ -17,7 +17,7 @@ from ebhess import (
 from ebhess.ebh import projection_gap
 from ebhess.errors import Breakdown, DimensionMismatch, Overflow, SingularCoefficient
 from ebhess.operators import GallerySpec, gallery, rot2_blockdiag
-from _util import nan_operator, random_block, random_sparse_operator
+from _util import nan_operator, random_block, random_sparse_operator, spread_spectrum_operator
 
 
 def dense_left_inverse(basis, k_blocks):
@@ -139,11 +139,38 @@ class TestEbhaRun:
     def test_dimension_guards(self):
         A = random_sparse_operator(10, 0)
         with pytest.raises(DimensionMismatch):
-            ebha_run(A, random_block(10, 2, 0), 2)  # 2(m+1)p = 12 > 10
+            ebha_run(A, random_block(10, 2, 0), 3)  # (2m+1)p = 14 > 10
         with pytest.raises(DimensionMismatch):
             ebha_run(A, random_block(8, 1, 0), 2)  # row count mismatch
         with pytest.raises(DimensionMismatch):
             ebha_run(A, np.zeros((10, 0)), 2)  # empty block
+
+    @pytest.mark.parametrize("n,p,m", [(10, 2, 2), (7, 1, 3), (15, 3, 2)])
+    def test_size_rule_boundary(self, n, p, m):
+        # (2m+1)p = n: the 2m+1 blocks fill the space, and T is still the projection.
+        A = spread_spectrum_operator(n, 0)
+        basis = ebha_run(A, random_block(n, p, 0), m)
+        assert basis.store.shape == (n, n)
+        assert projection_gap(basis, A) <= 1e-12
+
+    def test_breakdown_carries_completed_blocks(self):
+        # span{e1..e5} is invariant under diag(1..40): block 6 breaks down,
+        # and the blocks it carries are those of the run that stops before it.
+        A = FactorizedOperator.from_dense(np.diag(np.arange(1.0, 41.0)))
+        C = np.zeros((40, 1))
+        C[:5] = 1.0
+        with pytest.raises(Breakdown) as exc:
+            ebha_run(A, C, 3)
+        assert exc.value.step == 6
+        got, want = exc.value.basis, ebha_run(A, C, 2)
+        assert_array_equal(got.store, want.store)
+        assert_array_equal(got.H, want.H)
+        assert_array_equal(got.gamma11, want.gamma11)
+        for g, w in zip(got.pivot_sets, want.pivot_sets, strict=True):
+            assert_array_equal(g, w)
+        with pytest.raises(Breakdown) as exc:
+            ebha_run(A, np.hstack([C, C]), 2)
+        assert exc.value.step == 1 and exc.value.basis is None
 
     def test_rank_deficient_start(self):
         A = random_sparse_operator(30, 1)

@@ -6,12 +6,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from ebhess import (
     FactorizedOperator,
+    FunctionSpec,
     GallerySpec,
     ShiftedProblem,
     ebha_run,
     build_T,
     gallery,
     left_apply,
+    mf_ebh,
     residual_direct,
     solve_shifted,
 )
@@ -274,13 +276,38 @@ class TestSolveShiftedExits:
             assert residual_direct(A, C, sigma, state.X[k]) == 0.0
 
     def test_breakdown_on_non_invariant_seed_is_reraised(self):
-        # e1 + e2 spans no invariant subspace; the recursion still breaks
-        # down (at block 3), and that breakdown is what the caller sees.
+        # A^{-1}e3 stays in the span of [e1 + e2, e3], so block 2 breaks down
+        # in one column only.  That span is not invariant, so both drivers
+        # raise the breakdown the recursion met.
         A = FactorizedOperator.from_dense(np.diag(np.arange(1.0, 41.0)))
-        C = (np.eye(40)[:, 0] + np.eye(40)[:, 1])[:, None]
+        C = np.eye(40)[:, :3] @ np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(Breakdown) as exc:
             solve_shifted(ShiftedProblem(A, C, [0.0, 1.5], m=3, eps=1e-12))
-        assert exc.value.step == 3
+        assert exc.value.step == 2
+        with pytest.raises(Breakdown) as exc:
+            mf_ebh(A, C, 3, FunctionSpec.exp())
+        assert exc.value.step == 2
+
+    def test_pivot_collision_breakdown_is_reraised(self):
+        # The second cycle's recursion breaks down at block 10 on colliding
+        # pivot rows; its nine blocks are far from invariant, so it raises.
+        A = gallery(GallerySpec("rot2_blockdiag", size=30))
+        C = np.random.default_rng(0).random((30, 2))
+        with pytest.raises(Breakdown, match="collide") as exc:
+            solve_shifted(ShiftedProblem(A, C, np.linspace(0, 5, 10), m=6, eps=1e-9))
+        assert exc.value.step == 10
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_late_breakdown_on_invariant_span_solves_in_one_cycle(self, k):
+        # span{e1..ek} is invariant under diag(1..40): block k+1 breaks down
+        # and every shift is solved exactly on the k completed blocks.
+        A = FactorizedOperator.from_dense(np.diag(np.arange(1.0, 41.0)))
+        C = np.zeros((40, 1))
+        C[:k] = 1.0
+        state = solve_shifted(ShiftedProblem(A, C, [0.0, 1.5], m=3, eps=1e-12))
+        assert state.converged.all() and state.restart_count == 1
+        for j, sigma in enumerate(state.shifts):
+            assert residual_direct(A, C, sigma, state.X[j]) <= 1e-12
 
     def test_late_happy_breakdown_is_never_reached(self):
         # span{e1, e2, e3} is invariant under diag(1..40).  At m = 1 the
