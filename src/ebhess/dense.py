@@ -65,29 +65,31 @@ def column_max(B):
 
 
 def _plu_in_place(lu):
-    """:func:`plu_factor` of the Fortran-ordered block ``lu``, overwriting it with
-    the permuted unit lower factor; returns ``(upper, pivot_rows, column_max)``."""
+    """:func:`plu_factor` of the Fortran-ordered float64 block ``lu``, overwriting it
+    with the permuted unit lower factor; returns ``(upper, pivot_rows, column_max)``."""
     p = lu.shape[1]
     colmax = column_max(lu)
     if not np.isfinite(colmax).all():
         raise ValueError("matrix contains non-finite entries")
     # getrf overwrites lu (exact zero pivots, info > 0, fail the pivot test).
-    piv = sla.get_lapack_funcs("getrf", (lu,))(lu, overwrite_a=1)[1]
+    piv = sla.lapack.dgetrf(lu, overwrite_a=1)[1]
     bad = np.abs(lu.diagonal()) <= BREAKDOWN_TOL * np.maximum(colmax, np.finfo(float).tiny)
     if bad.any():
         raise RankDeficient(int(np.argmax(bad)))
-    U = np.triu(lu[:p])
-    lu[:p] = np.tril(lu[:p], -1)
-    np.fill_diagonal(lu, 1.0)
-    # getrf's piv is a sequence of row swaps; replaying them yields, for each
-    # elimination position r, the original row perm[r] that ended up there.
-    # Rows no swap touched keep their place, so only the at most 2p rows
-    # in perm move.
+    top, r = lu[:p], np.arange(p)
+    upper = r[:, None] <= r
+    U = np.where(upper, top, 0.0)
+    top[upper] = 0.0
+    top[r, r] = 1.0
+    # getrf's piv is a sequence of row swaps; undoing them, last first, puts
+    # each row of the lower factor back in the input's row order.  Replaying
+    # them gives, for each elimination position k, the input row perm[k]
+    # that ended up there.
+    sla.lapack.dlaswp(lu, piv, inc=-1, overwrite_a=1)
     perm = {}
     for i, j in enumerate(piv):
         perm[i], perm[j] = perm.get(j, j), perm.get(i, i)
-    lu[list(perm.values()), :] = lu[list(perm.keys()), :]
-    return U, np.array([perm[r] for r in range(p)]), colmax
+    return U, np.array([perm[k] for k in r]), colmax
 
 
 def pivot_block_solve(Vk, pk, W):

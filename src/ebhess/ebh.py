@@ -117,6 +117,11 @@ def ebha_run(A, V, m):
     tau and the restart seed V_{2m+1} never read it, so its solve, its
     projection and its normalization are not done.
 
+    A step's two candidates, A^{-1}V_c and AV_{c+1}, are projected side by
+    side: one ``trtrs`` and one ``gemm`` per earlier block serve both.  Each
+    keeps its modified Gram-Schmidt order, so the bits are those of
+    projecting them one at a time.
+
     Memory: the n x (2m+1)p store plus O(np) working memory; each candidate
     block is projected and factored in its own slot of the store.
 
@@ -125,6 +130,8 @@ def ebha_run(A, V, m):
     Breakdown
         When a candidate block is rank deficient (the extended space is exhausted);
         ``step`` is its 1-based index, ``basis`` the blocks before it (None at block 1).
+        At an even step, A V_{step-1}, the other candidate of its pair, has
+        already been formed: one product more than a step-by-step run makes.
     Overflow
         When a candidate block has a NaN or inf entry; the message names it.
     """
@@ -138,12 +145,24 @@ def ebha_run(A, V, m):
     gemm, = sla.get_blas_funcs(("gemm",), (store,))
 
     def load(step, raw):
-        # Copy a raw candidate into its slot; return its scale max|raw|.
+        # Copy a raw candidate into its slot; return its scale max|raw|,
+        # non-finite when raw has a NaN or inf entry.
         blocks[step - 1][...] = raw
-        scale = column_max(blocks[step - 1]).max()
+        return column_max(blocks[step - 1]).max()
+
+    def finite(step, scale):
         if not np.isfinite(scale):
             raise Overflow(f"candidate block {step} has non-finite entries")
         return scale
+
+    def project(W, Hcols, earlier):
+        # Modified Gram-Schmidt order, block by block: H = L_i^{-1} W[p_i] with
+        # L_i = V_i[p_i], then W -= V_i H in place.  One forward substitution over
+        # all earlier blocks (classical order) loses ~1.5 digits of the identities.
+        for i in earlier:
+            Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], lower=1, unitdiag=1)
+            gemm(-1.0, blocks[i], Hc, beta=1.0, c=W, overwrite_c=1)
+            Hcols[i * p : (i + 1) * p] = Hc
 
     def normalize(step, raw_scale=None):
         # Factor the candidate in place into basis block ``step``; return its upper factor.
@@ -171,22 +190,23 @@ def ebha_run(A, V, m):
         pivot_blocks.append(np.asfortranarray(blocks[step - 1][rows, :]))
         return upper
 
-    load(1, V)
+    finite(1, load(1, V))
     g11 = normalize(1)
     try:
-        # Column 0 is the startup candidate A^{-1}V; its coefficients are [gamma12; gamma22].
-        for col in range(2 * m):
-            # Modified Gram-Schmidt order, block by block: H = L_i^{-1} W[p_i] with
-            # L_i = V_i[p_i], then W -= V_i H in place.  One forward substitution over
-            # all earlier blocks (classical order) loses ~1.5 digits of the identities.
-            W, Hcol = blocks[col + 1], H[:, col * p : (col + 1) * p]
-            act = A.apply if col % 2 else A.solve
-            scale = load(col + 2, act(blocks[col - 1] if col else V))
-            for i in range(col + 1):
-                Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], lower=1, unitdiag=1)
-                gemm(-1.0, blocks[i], Hc, beta=1.0, c=W, overwrite_c=1)
-                Hcol[i * p : (i + 1) * p] = Hc
-            Hcol[(col + 1) * p : (col + 2) * p] = normalize(col + 2, scale)
+        # Column block c of H holds the coefficients of candidate c: A^{-1} V_c for
+        # even c (A^{-1} V at c = 0, giving [gamma12; gamma22]), A V_c for odd c.
+        # Candidates c and c+1 both exist once V_{c+1} does, and sit side by side
+        # in the slots of V_{c+2} and V_{c+3}.  As step by step, a non-finite
+        # A candidate is reported only after V_{c+2} is complete.
+        for c in range(0, 2 * m, 2):
+            scale = finite(c + 2, load(c + 2, A.solve(blocks[c - 1] if c else V)))
+            next_scale = load(c + 3, A.apply(blocks[c]))
+            Hpair = H[:, c * p : (c + 2) * p]
+            project(store[:, (c + 1) * p : (c + 3) * p], Hpair, range(c + 1))
+            Hpair[(c + 1) * p : (c + 2) * p, :p] = normalize(c + 2, scale)
+            finite(c + 3, next_scale)
+            project(blocks[c + 2], Hpair[:, p:], (c + 1,))
+            Hpair[(c + 2) * p : (c + 3) * p, p:] = normalize(c + 3, next_scale)
     except Breakdown as exc:
         kp = (exc.step - 1) * p
         exc.basis = ExtendedBasis(n, p, m, store[:, :kp], pivots, H[:kp, : kp - p], g11)
@@ -226,6 +246,8 @@ def build_T(basis):
     block row kept during assembly yields the trailing coupling ``tau``.
     """
     p, m, H = basis.p, basis.m, basis.H
+    if len(basis.blocks) != 2 * m + 1:
+        raise DimensionMismatch(f"basis has {len(basis.blocks)} blocks, build_T needs 2m+1 = {2 * m + 1}")
     rows = (2 * m + 1) * p
     Te = np.zeros((rows, 2 * m * p))
     even = (np.arange(0, 2 * m * p, 2 * p)[:, None] + np.arange(p)).ravel()

@@ -1,6 +1,9 @@
 """Shared generators for the test suite."""
 
+import itertools
+
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from ebhess import FactorizedOperator
@@ -44,15 +47,35 @@ def dissipative_operator(n, seed, margin=0.3):
     return FactorizedOperator.from_dense(M - (lam + margin) * np.eye(n))
 
 
+def nan_after(base, broken, calls):
+    """``base`` with its ``broken`` action ("apply" or "solve") returning
+    all-NaN blocks once it has made ``calls`` good calls."""
+    actions = {"apply": base.apply, "solve": base.solve}
+    good, made = actions[broken], itertools.count(1)
+    actions[broken] = lambda B: good(B) if next(made) <= calls else np.full(B.shape, np.nan)
+    return FactorizedOperator(base.n, actions["apply"], actions["solve"],
+                              base.to_sparse, base.structure)
+
+
 def nan_operator(n, seed, broken):
     """A random sparse operator whose ``broken`` action ("apply" or "solve")
     returns all-NaN blocks."""
-    base = random_sparse_operator(n, seed)
-    actions = {"apply": base.apply, "solve": base.solve}
-    actions[broken] = lambda B: np.full(B.shape, np.nan)
-    return FactorizedOperator(n, actions["apply"], actions["solve"],
-                              base.to_sparse, base.structure)
+    return nan_after(random_sparse_operator(n, seed), broken, 0)
 
 
 def random_block(n, p, seed):
     return np.random.default_rng(seed).random((n, p))
+
+
+def reference_plu(M):
+    """Pivoted LU as first written: lu_factor, a tril copy and a scatter over all rows."""
+    n, p = M.shape
+    lu, piv = sla.lu_factor(M)
+    perm = np.arange(n)
+    for i, j in enumerate(piv):
+        perm[i], perm[j] = perm[j], perm[i]
+    L = np.tril(lu, -1)[:, :p]
+    L[np.arange(p), np.arange(p)] += 1.0
+    PL = np.empty_like(L)
+    PL[perm, :] = L
+    return PL, np.triu(lu[:p, :]), perm[:p]

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from ebhess import pivot_block_solve, plu_factor
 from ebhess.dense import _plu_in_place
 from ebhess.errors import DimensionMismatch, RankDeficient, SingularPivotBlock
+from _util import reference_plu
 
 
 class TestPluFactor:
@@ -78,6 +79,10 @@ class TestPluFactor:
         assert np.abs(PL).max() <= 1.0
         P, _, _ = sla.lu(M)
         assert_array_equal(f.pivot_rows, np.argmax(P[:, :p], axis=0))
+        # Bit for bit getrf's factors, its lower factor scattered to input order.
+        want = reference_plu(M)
+        for got, w in zip((PL, f.upper, f.pivot_rows), want, strict=True):
+            assert_array_equal(got, w)
         # The in-place kernel on a slot of a wider Fortran store, as the
         # basis process calls it: plu_factor's factors bit for bit, written
         # into the slot and nowhere else.

@@ -14,10 +14,18 @@ from ebhess import (
     left_apply,
     pivot_block_solve,
 )
-from ebhess.ebh import projection_gap
+from ebhess.dense import _plu_in_place
+from ebhess.ebh import ExtendedBasis, projection_gap
 from ebhess.errors import Breakdown, DimensionMismatch, Overflow, SingularCoefficient
 from ebhess.operators import GallerySpec, gallery, rot2_blockdiag
-from _util import nan_operator, random_block, random_sparse_operator, spread_spectrum_operator
+from _util import (
+    nan_after,
+    nan_operator,
+    random_block,
+    random_sparse_operator,
+    reference_plu,
+    spread_spectrum_operator,
+)
 
 
 def dense_left_inverse(basis, k_blocks):
@@ -32,20 +40,6 @@ def dense_left_inverse(basis, k_blocks):
     assert np.abs(np.triu(L, 1)).max() <= 1e-12
     assert_allclose(np.diag(L), 1.0, atol=1e-12)
     return np.linalg.inv(L) @ P.T
-
-
-def reference_plu(M):
-    """Pivoted LU as first written: lu_factor, a tril copy and a scatter over all rows."""
-    n, p = M.shape
-    lu, piv = sla.lu_factor(M)
-    perm = np.arange(n)
-    for i, j in enumerate(piv):
-        perm[i], perm[j] = perm[j], perm[i]
-    L = np.tril(lu, -1)[:, :p]
-    L[np.arange(p), np.arange(p)] += 1.0
-    PL = np.empty_like(L)
-    PL[perm, :] = L
-    return PL, np.triu(lu[:p, :]), perm[:p]
 
 
 def reference_ebha(A, V, m):
@@ -82,6 +76,32 @@ def reference_ebha(A, V, m):
             H[(col + 2, col)] = Hn
             append(Vn, pn)
     return store, pivots, H, gammas
+
+
+def per_candidate_ebha(A, V, m):
+    """ebha_run with one projection sweep per candidate: one trtrs and one gemm
+    per earlier block and candidate.  Oracle of the paired sweep; returns
+    ``(store, H, pivot_sets, gamma11)``."""
+    n, p = V.shape
+    store = np.empty((n, (2 * m + 1) * p), order="F")
+    blocks = [store[:, k * p : (k + 1) * p] for k in range(2 * m + 1)]
+    H = np.zeros(((2 * m + 1) * p, 2 * m * p), order="F")
+    trtrs, = sla.get_lapack_funcs(("trtrs",), (store,))
+    gemm, = sla.get_blas_funcs(("gemm",), (store,))
+    blocks[0][...] = V
+    g11, rows, _ = _plu_in_place(blocks[0])
+    pivots, pivot_blocks = [rows], [np.asfortranarray(blocks[0][rows, :])]
+    for col in range(2 * m):
+        W, Hcol = blocks[col + 1], H[:, col * p : (col + 1) * p]
+        W[...] = (A.apply if col % 2 else A.solve)(blocks[col - 1] if col else V)
+        for i in range(col + 1):
+            Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], lower=1, unitdiag=1)
+            gemm(-1.0, blocks[i], Hc, beta=1.0, c=W, overwrite_c=1)
+            Hcol[i * p : (i + 1) * p] = Hc
+        Hcol[(col + 1) * p : (col + 2) * p], rows, _ = _plu_in_place(W)
+        pivots.append(rows)
+        pivot_blocks.append(np.asfortranarray(W[rows, :]))
+    return store, H, pivots, g11
 
 
 def selector(k, p, total):
@@ -185,6 +205,24 @@ class TestEbhaRun:
         with pytest.raises(Overflow, match=f"candidate block {step} "):
             ebha_run(nan_operator(40, 2, broken), random_block(40, 2, 2), 2)
 
+    def test_non_finite_apply_candidate_reported_after_its_pair(self):
+        # The second pair's A candidate (block 5) is the first non-finite one.
+        A = nan_after(random_sparse_operator(40, 2), "apply", 1)
+        with pytest.raises(Overflow, match="candidate block 5 "):
+            ebha_run(A, random_block(40, 2, 2), 3)
+        # When block 4 breaks down, that comes first, with the same blocks as
+        # with a sound operator: span{e1, e2, e3} is invariant under diag(1..40).
+        D = FactorizedOperator.from_dense(np.diag(np.arange(1.0, 41.0)))
+        C = np.zeros((40, 1))
+        C[:3] = 1.0
+        with pytest.raises(Breakdown) as want:
+            ebha_run(D, C, 3)
+        with pytest.raises(Breakdown) as got:
+            ebha_run(nan_after(D, "apply", 1), C, 3)
+        assert got.value.step == want.value.step == 4
+        assert_array_equal(got.value.basis.store, want.value.basis.store)
+        assert_array_equal(got.value.basis.H, want.value.basis.H)
+
     @pytest.mark.parametrize("name,size", [("rot2_blockdiag", 5000), ("convdiff_l1", 50)])
     def test_smaller_m_is_the_leading_part(self, name, size):
         # The recursion is nested: a run of m' steps is the leading part of a
@@ -270,6 +308,25 @@ class TestEbhaRun:
         assert_array_equal(basis.H, want[: (2 * m + 1) * p, : 2 * m * p])
         assert_array_equal(basis.gamma11, g11)
 
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "name,size", [("rot2_blockdiag", 400), ("convdiff_l1", 12), ("tridiag_scaled", 200)]
+    )
+    def test_paired_sweep_is_bit_identical_to_per_candidate_sweeps(self, name, size, p, m):
+        A = gallery(GallerySpec(name, size))
+        V = np.random.default_rng(7).random((A.n, p))
+        basis = ebha_run(A, V, m)
+        store, H, pivots, g11 = per_candidate_ebha(A, V, m)
+        assert np.array_equal(basis.store, store)
+        assert np.array_equal(basis.H, H)
+        assert np.array_equal(basis.gamma11, g11)
+        for got, want in zip(basis.pivot_sets, pivots, strict=True):
+            assert np.array_equal(got, want)
+        got, want = build_T(basis), build_T(ExtendedBasis(A.n, p, m, store, pivots, H, g11))
+        assert np.array_equal(got.T, want.T)
+        assert np.array_equal(got.tau, want.tau)
 
 class TestLeftApply:
     def test_basis_gives_identity(self):
@@ -358,6 +415,19 @@ class TestBuildT:
         basis = ebha_run(A, random_block(50, 2, 12), 2)
         direct = build_T_direct(basis, FactorizedOperator.identity(50))
         assert np.abs(direct - np.eye(8)).max() <= 1e-11
+
+    def test_breakdown_basis_is_a_dimension_mismatch(self):
+        # A Breakdown.basis holds fewer than 2m+1 blocks: block 6 breaks down
+        # on diag(1..40) with C = e1+...+e5, so 5 of the 7 blocks of m = 3.
+        A = FactorizedOperator.from_dense(np.diag(np.arange(1.0, 41.0)))
+        C = np.zeros((40, 1))
+        C[:5] = 1.0
+        with pytest.raises(Breakdown) as exc:
+            ebha_run(A, C, 3)
+        with pytest.raises(DimensionMismatch):
+            build_T(exc.value.basis)
+        with pytest.raises(DimensionMismatch):
+            build_T_direct(exc.value.basis, A)
 
     def test_singular_coefficient(self):
         A = random_sparse_operator(40, 13)
