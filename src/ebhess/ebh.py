@@ -232,9 +232,13 @@ def left_apply(basis, W, k_blocks):
 
 def _inv_upper(U, what):
     d = np.abs(np.diag(U))
-    if d.min() <= np.finfo(float).eps * max(d.max(), np.finfo(float).tiny) * U.shape[0]:
+    # Written so that a NaN on the diagonal is singular too.
+    if not d.min() > np.finfo(float).eps * max(d.max(), np.finfo(float).tiny) * U.shape[0]:
         raise SingularCoefficient(f"{what} is singular to working precision")
-    return sla.solve_triangular(U, np.eye(U.shape[0]))
+    # U is a row slice of the Fortran-ordered H: solve with its transpose, the
+    # lower triangle, as sla.solve_triangular would, without its checks.
+    trtrs, = sla.get_lapack_funcs(("trtrs",), (U,))
+    return trtrs(U.T, np.eye(U.shape[0]), lower=1, trans=1)[0]
 
 
 def build_T(basis):
@@ -262,8 +266,9 @@ def build_T(basis):
             new[(c - 1) * p : c * p, :] = Hinv
         else:
             new[:p, :] = basis.gamma11 @ Hinv
+        G = Hc[: (c + 1) * p] @ Hinv
         for i in range(c + 1):
-            new -= Te[:, i * p : (i + 1) * p] @ (Hc[i * p : (i + 1) * p] @ Hinv)
+            new -= Te[:, i * p : (i + 1) * p] @ G[i * p : (i + 1) * p]
         Te[:, (c + 1) * p : (c + 2) * p] = new
 
     T = Te[: 2 * m * p, :].copy()

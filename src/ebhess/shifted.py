@@ -11,8 +11,17 @@ Each cycle solves the reduced systems in place, side by side in one matrix,
 and every run of consecutive shifts is lifted back to X with one in-place
 GEMM against the n-row basis, so the basis is read once per run, not once
 per shift.
+
+A cycle's reduced systems are independent and getrf/getrs release the GIL,
+so when 2mp >= ``_SPLIT_MIN_N`` and two or more shifts are active, one helper
+thread, started and joined within the cycle, factors and solves the second
+half of them.  It only reads the projection and writes its own columns, and
+calls neither the operator nor another function of this package; everything
+else runs on the calling thread in shift order, so X has the same bits split
+or not.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +37,12 @@ from .errors import (
     RankDeficient,
     ReducedSystemSingular,
 )
+
+# Smallest reduced order 2mp at which a cycle's shifts are split over two
+# threads.  Below it a shift's getrf/getrs is too short for a second thread to
+# pay for the GIL hand-overs around it: at 2mp = 30 a shift is about 5 us of
+# LAPACK in about 20 us of Python.  Crossover sweep in CHANGES.md.
+_SPLIT_MIN_N = 64
 
 
 @dataclass
@@ -102,8 +117,13 @@ def solve_shifted(problem, observer=None):
     residual coordinates as the new right-hand sides.
 
     Each reduced system is factored with partial pivoting by LAPACK getrf in
-    one reused buffer and solved by getrs in place, in its own columns of a
-    fresh (2mp, K*p) matrix per cycle.  Each run of consecutive in-frame
+    a buffer reused across shifts and solved by getrs in place, in its own columns of a
+    fresh (2mp, K*p) matrix per cycle.  When 2mp >= 64 and two or more shifts
+    are active, one helper thread factors and solves the second half of the
+    cycle's shifts with its own buffer while the caller does the first; it is
+    joined before the cycle goes on, so at most one helper runs per call and
+    none outlives it.  The helper calls neither the operator nor the observer,
+    and X has the same bits as on one thread.  Each run of consecutive in-frame
     shifts solved in the cycle then updates its columns of X with one GEMM
     against the basis, and its residual coordinates and residual norms with
     one product against ``tau`` and the R factor of the next seed.
@@ -153,7 +173,6 @@ def solve_shifted(problem, observer=None):
         return state
 
     N = 2 * m * p
-    shifted_T = np.empty((N, N), order="F")
     diag = np.arange(N)
     singular_tol = np.finfo(float).eps * N
     while True:
@@ -192,15 +211,44 @@ def solve_shifted(problem, observer=None):
         # Shift k solves in columns k*p:(k+1)*p.  The matrix is not reused,
         # so the observer's Y stay valid after the cycle.
         Ycyc = np.empty((N, K * p), order="F")
+        off_rhs = {k: left_apply(basis, stalled_resid[k], 2 * m) for k in active if not in_frame[k]}
+
+        def factor_and_solve(ks):
+            # Solve each shift's reduced system in its columns of Ycyc; return
+            # whether each was singular (then left unsolved).  May run on the
+            # helper thread, so it writes nothing but its own buffer and columns.
+            shifted_T = np.empty((N, N), order="F")
+            singular = []
+            for k in ks:
+                shifted_T[...] = T
+                shifted_T[diag, diag] = T_diag + sigmas[k]
+                lu, piv, info = getrf(shifted_T, overwrite_a=True)
+                d = np.abs(np.diag(lu))
+                singular.append(info > 0 or d.min() <= singular_tol * d.max())
+                if singular[-1]:
+                    continue
+                Y = Ycyc[:, k * p : (k + 1) * p]
+                if in_frame[k]:
+                    Y[:p] = g11 @ state.beta0[k]
+                    Y[p:] = 0.0
+                else:
+                    Y[...] = off_rhs[k]
+                getrs(lu, piv, Y, overwrite_b=1)
+            return singular
+
+        if N >= _SPLIT_MIN_N and len(active) >= 2:
+            half = (len(active) + 1) // 2
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                second = helper.submit(factor_and_solve, active[half:])
+                singular = factor_and_solve(active[:half]) + second.result()
+        else:
+            singular = factor_and_solve(active)
+
         Yrec, Rrec = {}, {}
         done = []      # (index, residual) of every shift solved this cycle
         lift = []      # in-frame shifts solved this cycle, ascending
-        for k in active:
-            shifted_T[...] = T
-            shifted_T[diag, diag] = T_diag + sigmas[k]
-            lu, piv, info = getrf(shifted_T, overwrite_a=True)
-            d = np.abs(np.diag(lu))
-            if info > 0 or d.min() <= singular_tol * d.max():
+        for k, is_singular in zip(active, singular):
+            if is_singular:
                 # sigma hit a Ritz value; freeze this shift's residual
                 # (R = seed @ beta0 in the seed frame) and retry against the
                 # next cycle's basis.
@@ -210,12 +258,6 @@ def solve_shifted(problem, observer=None):
                 state.residual_history[k].append(np.inf)
                 continue
             Y = Ycyc[:, k * p : (k + 1) * p]
-            if in_frame[k]:
-                Y[:p] = g11 @ state.beta0[k]
-                Y[p:] = 0.0
-            else:
-                Y[...] = left_apply(basis, stalled_resid[k], 2 * m)
-            getrs(lu, piv, Y, overwrite_b=1)
             Yrec[k] = Y
             if in_frame[k]:
                 lift.append(k)

@@ -104,6 +104,29 @@ def per_candidate_ebha(A, V, m):
     return store, H, pivots, g11
 
 
+def reference_build_T(basis):
+    """build_T as first written: scipy's checked ``solve_triangular`` for each
+    inverse and one small product per coefficient block.  Oracle of the
+    trimmed loop; returns ``(T, tau)``."""
+    p, m, H = basis.p, basis.m, basis.H
+    rows = (2 * m + 1) * p
+    Te = np.zeros((rows, 2 * m * p))
+    even = (np.arange(0, 2 * m * p, 2 * p)[:, None] + np.arange(p)).ravel()
+    Te[:, even] = H[:, even + p]
+    for c in range(0, 2 * m - 1, 2):
+        Hc = H[:, c * p : (c + 1) * p]
+        Hinv = sla.solve_triangular(Hc[(c + 1) * p : (c + 2) * p], np.eye(p))
+        new = np.zeros((rows, p))
+        if c:
+            new[(c - 1) * p : c * p, :] = Hinv
+        else:
+            new[:p, :] = basis.gamma11 @ Hinv
+        for i in range(c + 1):
+            new -= Te[:, i * p : (i + 1) * p] @ (Hc[i * p : (i + 1) * p] @ Hinv)
+        Te[:, (c + 1) * p : (c + 2) * p] = new
+    return Te[: 2 * m * p, :], Te[2 * m * p :, (2 * m - 2) * p :]
+
+
 def selector(k, p, total):
     E = np.zeros((total * p, p))
     E[(k - 1) * p : k * p] = np.eye(p)
@@ -429,10 +452,24 @@ class TestBuildT:
         with pytest.raises(DimensionMismatch):
             build_T_direct(exc.value.basis, A)
 
-    def test_singular_coefficient(self):
+    @pytest.mark.parametrize("m", [1, 2, 5, 10])
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "name,size", [("rot2_blockdiag", 400), ("convdiff_l1", 12), ("tridiag_scaled", 200)]
+    )
+    def test_bit_identical_to_reference_loop(self, name, size, p, m):
+        A = gallery(GallerySpec(name, size))
+        basis = ebha_run(A, np.random.default_rng(7).random((A.n, p)), m)
+        got = build_T(basis)
+        T, tau = reference_build_T(basis)
+        assert_array_equal(got.T, T)
+        assert_array_equal(got.tau, tau)
+
+    @pytest.mark.parametrize("gamma22", [0.0, np.nan])
+    def test_singular_coefficient(self, gamma22):
         A = random_sparse_operator(40, 13)
         basis = ebha_run(A, random_block(40, 2, 13), 2)
-        basis.H[2:4, :2] = 0.0  # gamma22
+        basis.H[2:4, :2] = gamma22
         with pytest.raises(SingularCoefficient):
             build_T(basis)
 

@@ -1,7 +1,10 @@
+import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ebhess import (
@@ -17,6 +20,7 @@ from ebhess import (
     residual_direct,
     solve_shifted,
 )
+from ebhess import shifted
 from ebhess.errors import NotConverged
 from ebhess.errors import BadConfig, Breakdown, ReducedSystemSingular
 from _util import random_block, random_sparse_operator
@@ -251,6 +255,114 @@ class TestSolveShifted:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 ShiftedProblem(A, C, [0.0, bad], m=2)
+
+
+def _run_with_records(problem):
+    """solve_shifted's state (also on NotConverged) and a copy of every
+    observer Y, cycle by cycle."""
+    Ys = []
+
+    def observer(rec):
+        Ys.append({k: Y.copy() for k, Y in rec.Y.items()})
+
+    try:
+        state = solve_shifted(problem, observer=observer)
+    except NotConverged as exc:
+        state = exc.state
+    return state, Ys
+
+
+class TestTwoThreadReducedSolves:
+    """Above the reduced order ``shifted._SPLIT_MIN_N`` a cycle's shifts are
+    factored and solved on two threads; everything else stays serial."""
+
+    @staticmethod
+    def _ritz_problem(max_restarts=3):
+        # N = 2mp = 70 is above the cutoff.  Shift 6, in the helper's half
+        # (shifts 4..7 of 8), sits on a Ritz value of cycle 1 (pivot ratio
+        # 2.6e-16, well under the rule's 70 eps), so it is skipped there and
+        # retried off-frame in later cycles; eps = 1e-300 keeps every shift
+        # active, so every cycle is split.
+        A = gallery(GallerySpec("convdiff_l2", 16))
+        C = random_block(A.n, 5, 6)
+        ritz = np.linalg.eigvals(build_T(ebha_run(A, C, 7)).T)
+        sigmas = np.linspace(0.0, 2.0, 8)
+        sigmas[6] = -float(ritz[np.abs(ritz.imag) < 1e-12].real[0])
+        return ShiftedProblem(A, C, sigmas, m=7, eps=1e-300, max_restarts=max_restarts)
+
+    def test_split_equals_serial(self, monkeypatch):
+        problem = self._ritz_problem()
+        assert 2 * problem.m * 5 >= shifted._SPLIT_MIN_N
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+        try:
+            split, split_Y = _run_with_records(problem)
+        finally:
+            sys.setswitchinterval(switch)
+        monkeypatch.setattr(shifted, "_SPLIT_MIN_N", 10**9)
+        serial, serial_Y = _run_with_records(problem)
+
+        assert split.restart_count == serial.restart_count == 3
+        assert split.residual_history[6][0] == np.inf
+        assert np.isfinite(split.residual_history[6][1:]).all()
+        assert_array_equal(split.X, serial.X)
+        assert_array_equal(split.beta0, serial.beta0)
+        assert_array_equal(split.converged, serial.converged)
+        assert split.residual_history == serial.residual_history
+        assert [sorted(Y) for Y in split_Y] == [sorted(Y) for Y in serial_Y]
+        for cycle_split, cycle_serial in zip(split_Y, serial_Y):
+            for k, Y in cycle_split.items():
+                assert_array_equal(Y, cycle_serial[k])
+
+    def test_one_helper_per_cycle_and_none_below_the_cutoff(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        before = threading.active_count()
+        state, _ = _run_with_records(self._ritz_problem())
+        assert len(started) == state.restart_count == 3
+        assert threading.active_count() == before
+        # N = 2mp = 20 is below the cutoff: no thread at all.
+        started.clear()
+        A = random_sparse_operator(80, 3)
+        state = solve_shifted(ShiftedProblem(A, random_block(80, 2, 3), np.linspace(0, 2, 20),
+                                             m=5, eps=1e-9))
+        assert state.converged.all() and started == []
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        # getrf fails on the helper thread only; the caller sees the error,
+        # and the helper is joined before solve_shifted returns.
+        get, caller = sla.get_lapack_funcs, threading.current_thread()
+
+        def get_lapack_funcs(names, arrays=()):
+            funcs = get(names, arrays)
+            if names != ("getrf", "getrs"):
+                return funcs
+            getrf, getrs = funcs
+
+            def failing_getrf(*args, **kwargs):
+                if threading.current_thread() is not caller:
+                    raise RuntimeError("helper getrf failed")
+                return getrf(*args, **kwargs)
+
+            return failing_getrf, getrs
+
+        monkeypatch.setattr(sla, "get_lapack_funcs", get_lapack_funcs)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper getrf failed"):
+            solve_shifted(self._ritz_problem())
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_not_converged(self):
+        before = threading.active_count()
+        with pytest.raises(NotConverged):
+            solve_shifted(self._ritz_problem(max_restarts=2))
+        assert threading.active_count() == before
 
 
 class TestSolveShiftedExits:
