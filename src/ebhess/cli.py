@@ -195,8 +195,6 @@ def run_curves(config):
     ``ebh`` rows of the matfun loop at m = 1..m_max, with one repeat and
     always a reference. ``--out fig1.dat`` names them ``fig1_<function>.dat``."""
     A, V = _problem(config)
-    if config.m_max < 1:
-        raise BadConfig("curves needs --m-max >= 1")
     stem, ext = os.path.splitext(config.out)
     paths = []
     for fname in config.funcs:
@@ -328,6 +326,8 @@ def _resolve(args):
     for key in ("repeat", "p", "max_restarts", "m_list"):
         if np.min(getattr(config, key)) < 1:
             raise BadConfig(f"{key} must be >= 1")
+    if config.command == "curves" and config.m_max < 1:
+        raise BadConfig("curves needs --m-max >= 1")
     if config.out is None and config.command != "flops":
         raise BadConfig(f"{config.command} needs --out")
     # checked before any work; no file is opened until the results are in

@@ -1,4 +1,4 @@
-"""Dense kernels: two-output pivoted LU and pivot-row solves.
+"""Dense kernels: two-output pivoted LU, pivot-row solves and the singular-LU rule.
 
 Blocks are plain float64 ndarrays.  The two-output pivoted LU returns the
 *permuted* unit lower trapezoidal factor together with the rows that carry
@@ -18,6 +18,8 @@ SMALL_DIM_LIMIT = 4096
 
 # Relative pivot threshold under which a column counts as rank deficient.
 BREAKDOWN_TOL = 1e-13
+
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 @dataclass
@@ -73,7 +75,7 @@ def _plu_in_place(lu):
         raise ValueError("matrix contains non-finite entries")
     # getrf overwrites lu (exact zero pivots, info > 0, fail the pivot test).
     piv = sla.lapack.dgetrf(lu, overwrite_a=1)[1]
-    bad = np.abs(lu.diagonal()) <= BREAKDOWN_TOL * np.maximum(colmax, np.finfo(float).tiny)
+    bad = np.abs(lu.diagonal()) <= BREAKDOWN_TOL * np.maximum(colmax, _TINY)
     if bad.any():
         raise RankDeficient(int(np.argmax(bad)))
     top, r = lu[:p], np.arange(p)
@@ -92,6 +94,26 @@ def _plu_in_place(lu):
     return U, np.array([perm[k] for k in r]), colmax
 
 
+def singular(pivots):
+    """The package's one test of "singular to working precision" for an LU with
+    U diagonal ``pivots``: min|d| <= eps * N * max(max|d|, tiny) over the N
+    pivots.  An empty diagonal or a NaN pivot counts as singular too."""
+    d = np.abs(pivots)
+    return d.size == 0 or not d.min() > _EPS * max(d.max(), _TINY) * d.size
+
+
+def checked_lu(M, error):
+    """scipy's ``lu_factor`` of the square ``M``; raises the exception ``error``
+    when M has a non-finite entry or :func:`singular` holds for its pivots."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lu, piv = sla.lu_factor(M, check_finite=False)
+    # Elimination keeps a NaN or inf entry of M non-finite in the factors.
+    if not np.isfinite(lu).all() or singular(np.diag(lu)):
+        raise error
+    return lu, piv
+
+
 def pivot_block_solve(Vk, pk, W):
     """Solve ``Vk[pk, :] @ H = W[pk, :]`` for the p-by-p coefficient ``H``.
 
@@ -108,11 +130,5 @@ def pivot_block_solve(Vk, pk, W):
         raise DimensionMismatch("pivot set must hold p distinct row indices")
     if pk.min() < 0 or pk.max() >= Vk.shape[0]:
         raise DimensionMismatch("pivot index out of range")
-    block = Vk[pk, :]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = sla.lu_factor(block)
-    d = np.abs(np.diag(lu))
-    if d.min() <= np.finfo(float).eps * max(d.max(), np.finfo(float).tiny) * p:
-        raise SingularPivotBlock("pivot submatrix singular to working precision")
-    return sla.lu_solve((lu, piv), W[pk, :])
+    factors = checked_lu(Vk[pk, :], SingularPivotBlock("pivot submatrix singular to working precision"))
+    return sla.lu_solve(factors, W[pk, :])

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import BREAKDOWN_TOL, _plu_in_place, as_block, column_max
+from .dense import BREAKDOWN_TOL, _plu_in_place, as_block, column_max, singular
 # Unused here; perfbench/tracing.py patches both names on this module.
 from .dense import pivot_block_solve, plu_factor  # noqa: F401
 from .errors import Breakdown, DimensionMismatch, Overflow, RankDeficient, SingularCoefficient
@@ -231,9 +231,7 @@ def left_apply(basis, W, k_blocks):
 
 
 def _inv_upper(U, what):
-    d = np.abs(np.diag(U))
-    # Written so that a NaN on the diagonal is singular too.
-    if not d.min() > np.finfo(float).eps * max(d.max(), np.finfo(float).tiny) * U.shape[0]:
+    if singular(np.diag(U)):
         raise SingularCoefficient(f"{what} is singular to working precision")
     # U is a row slice of the Fortran-ordered H: solve with its transpose, the
     # lower triangle, as sla.solve_triangular would, without its checks.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import as_block
+from .dense import as_block, checked_lu
 from .errors import (
     BadConfig,
     BranchCutViolation,
@@ -95,18 +95,24 @@ def _square(M, name):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} expects a square matrix")
+    if not np.isfinite(M).all():
+        raise Overflow(f"{name}: matrix has a non-finite entry")
     return M
+
+
+def _finite(what, kernel, *args):
+    # kernel(*args) with warnings off; a non-finite result is the typed Overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        F = kernel(*args)
+    if not np.isfinite(F).all():
+        raise Overflow(f"{what}: result is not finite")
+    return F
 
 
 def expm(M):
     """Matrix exponential by scaling and squaring with a diagonal Pade kernel."""
-    M = _square(M, "expm")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # overflow becomes our typed error below
-        E = sla.expm(M)
-    if not np.isfinite(E).all():
-        raise Overflow("matrix exponential overflowed")
-    return E
+    return _finite("expm", sla.expm, _square(M, "expm"))
 
 
 def _check_branch(w, what):
@@ -135,11 +141,7 @@ def _principal(kernel, M, what):
     # the cut, so an imaginary part at roundoff level is dropped.
     M = _square(M, what)
     _check_branch(np.linalg.eigvals(M), what)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a non-finite result becomes our typed error below
-        F = kernel(M)
-    if not np.isfinite(F).all():
-        raise Overflow(f"{what}: result is not finite")
+    F = _finite(what, kernel, M)
     if np.iscomplexobj(F) and np.abs(F.imag).max() <= 1e-12 * np.abs(F).max():
         F = F.real
     return F
@@ -152,10 +154,7 @@ def _funm_eig(fn, M, what):
         raise IllConditionedEigenbasis(
             f"{what}: eigenvector basis condition {cond:.3e} exceeds {EIGENBASIS_COND_LIMIT:.0e}"
         )
-    with np.errstate(all="ignore"):  # overflow becomes our typed error below
-        F = (X * fn(w)) @ np.linalg.inv(X)
-    if not np.isfinite(F).all():
-        raise Overflow(f"{what}: result is not finite")
+    F = _finite(what, lambda: (X * fn(w)) @ np.linalg.inv(X))
     return F.real if np.isrealobj(M) else F
 
 
@@ -169,35 +168,20 @@ def funm(spec, M):
     inverse, positive Laurent powers explicit matrix powers, and custom
     functions the eigendecomposition path with the conditioning guard.  An
     eigenvalue on the closed negative real axis (sqrt, log, exp(-sqrt(x)))
-    or a zero pivot in any of the solves (a pole on the spectrum) raises
-    :class:`BranchCutViolation`.
+    or a pivot of any of the solves that :func:`dense.singular` rejects (a
+    pole on the spectrum) raises :class:`BranchCutViolation`; a NaN or inf
+    entry of M raises :class:`Overflow`.
     """
     return _FUNCTIONS[spec.tag][1](_square(M, "funm"), *spec.params)
 
 
-def _checked_lu(M, pole_message):
-    # LU factors of M; a zero or tiny U pivot is a pole on the spectrum.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            lu = sla.lu_factor(M)
-        except sla.LinAlgError as exc:
-            raise BranchCutViolation(pole_message) from exc
-    d = np.abs(np.diag(lu[0]))
-    if d.size == 0 or d.min() <= np.finfo(float).eps * max(d.max(), np.finfo(float).tiny) * M.shape[0]:
-        raise BranchCutViolation(pole_message)
-    return lu
-
-
 def _inverse(M, pole_message):
-    return sla.lu_solve(_checked_lu(M, pole_message), np.eye(M.shape[0]))
+    return sla.lu_solve(checked_lu(M, BranchCutViolation(pole_message)), np.eye(M.shape[0]))
 
 
 def _exp_neg_over_x(M):
-    F = sla.lu_solve(_checked_lu(M, "funm(expinvx): eigenvalue at the pole 0"), expm(-M))
-    if not np.isfinite(F).all():
-        raise Overflow("funm(expinvx): result is not finite")
-    return F
+    factors = checked_lu(M, BranchCutViolation("funm(expinvx): eigenvalue at the pole 0"))
+    return _finite("funm(expinvx)", sla.lu_solve, factors, expm(-M))
 
 
 def _laurent_matrix(M, pairs):

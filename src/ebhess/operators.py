@@ -63,6 +63,8 @@ class FactorizedOperator:
 
     def __init__(self, n, apply_fn, solve_fn, sparse_fn, structure, rot2=None):
         self.n = int(n)
+        if self.n < 1:
+            raise DimensionMismatch(f"operator needs n >= 1, got n={self.n}")
         self.structure = structure
         self.rot2 = rot2  # (a, c) arrays for 2x2 block-diagonal operators
         self._apply = apply_fn

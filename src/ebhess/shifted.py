@@ -5,8 +5,8 @@ own small reduced system, the residual norm comes from the trailing-block
 formula without touching A, converged shifts are deflated, and the next
 cycle restarts from the (2m+1)-th basis block, which carries every residual.
 
-The per-shift work is only a pivoted LU (LAPACK getrf/getrs, the routines
-behind ``scipy.linalg.lu_factor``/``lu_solve``) of the small shifted matrix.
+The per-shift work is only a pivoted LU (LAPACK getrf/getrs, called
+directly; ``dense.singular`` judges its pivots) of the small shifted matrix.
 Each cycle solves the reduced systems in place, side by side in one matrix,
 and every run of consecutive shifts is lifted back to X with one in-place
 GEMM against the n-row basis, so the basis is read once per run, not once
@@ -16,9 +16,9 @@ A cycle's reduced systems are independent and getrf/getrs release the GIL,
 so when 2mp >= ``_SPLIT_MIN_N`` and two or more shifts are active, one helper
 thread, started and joined within the cycle, factors and solves the second
 half of them.  It only reads the projection and writes its own columns, and
-calls neither the operator nor another function of this package; everything
-else runs on the calling thread in shift order, so X has the same bits split
-or not.
+calls no operator, no observer and no name that ``perfbench/tracing.py``
+patches; everything else runs on the calling thread in shift order, so X has
+the same bits split or not.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import as_block, pivot_block_solve, plu_factor  # pivot_block_solve: tracer only
+from .dense import as_block, pivot_block_solve, plu_factor, singular  # pivot_block_solve: tracer only
 from .ebh import ExtendedBasis, basis_fits, build_T, ebha_run, invariant_projection, left_apply
 from .errors import (
     BadConfig,
@@ -156,10 +156,9 @@ def solve_shifted(problem, observer=None):
     )
     # beta0 holds residual coordinates relative to the current seed block:
     # R_sigma = seed @ beta0[sigma].  The first seed is C itself, so the
-    # initial coordinates are the identity.  in_frame goes false only for
-    # shifts that stalled on a singular reduced system.
+    # initial coordinates are the identity.  A shift that stalls on a singular
+    # reduced system leaves that frame and stays in stalled_resid until it converges.
     seed = C
-    in_frame = np.ones(K, dtype=bool)
     stalled_resid = {}  # index -> explicit residual block (n, p)
 
     if not basis_fits(n, p, m):
@@ -174,7 +173,6 @@ def solve_shifted(problem, observer=None):
 
     N = 2 * m * p
     diag = np.arange(N)
-    singular_tol = np.finfo(float).eps * N
     while True:
         active = np.where(~state.converged)[0]
         if len(active) == 0:
@@ -211,55 +209,53 @@ def solve_shifted(problem, observer=None):
         # Shift k solves in columns k*p:(k+1)*p.  The matrix is not reused,
         # so the observer's Y stay valid after the cycle.
         Ycyc = np.empty((N, K * p), order="F")
-        off_rhs = {k: left_apply(basis, stalled_resid[k], 2 * m) for k in active if not in_frame[k]}
+        off_rhs = {k: left_apply(basis, stalled_resid[k], 2 * m) for k in active if k in stalled_resid}
 
         def factor_and_solve(ks):
             # Solve each shift's reduced system in its columns of Ycyc; return
             # whether each was singular (then left unsolved).  May run on the
             # helper thread, so it writes nothing but its own buffer and columns.
             shifted_T = np.empty((N, N), order="F")
-            singular = []
+            unsolved = []
             for k in ks:
                 shifted_T[...] = T
                 shifted_T[diag, diag] = T_diag + sigmas[k]
                 lu, piv, info = getrf(shifted_T, overwrite_a=True)
-                d = np.abs(np.diag(lu))
-                singular.append(info > 0 or d.min() <= singular_tol * d.max())
-                if singular[-1]:
+                unsolved.append(info > 0 or singular(np.diag(lu)))
+                if unsolved[-1]:
                     continue
                 Y = Ycyc[:, k * p : (k + 1) * p]
-                if in_frame[k]:
+                if k in off_rhs:
+                    Y[...] = off_rhs[k]
+                else:
                     Y[:p] = g11 @ state.beta0[k]
                     Y[p:] = 0.0
-                else:
-                    Y[...] = off_rhs[k]
                 getrs(lu, piv, Y, overwrite_b=1)
-            return singular
+            return unsolved
 
         if N >= _SPLIT_MIN_N and len(active) >= 2:
             half = (len(active) + 1) // 2
             with ThreadPoolExecutor(max_workers=1) as helper:
                 second = helper.submit(factor_and_solve, active[half:])
-                singular = factor_and_solve(active[:half]) + second.result()
+                unsolved = factor_and_solve(active[:half]) + second.result()
         else:
-            singular = factor_and_solve(active)
+            unsolved = factor_and_solve(active)
 
         Yrec, Rrec = {}, {}
         done = []      # (index, residual) of every shift solved this cycle
         lift = []      # in-frame shifts solved this cycle, ascending
-        for k, is_singular in zip(active, singular):
-            if is_singular:
+        for k, is_unsolved in zip(active, unsolved):
+            if is_unsolved:
                 # sigma hit a Ritz value; freeze this shift's residual
                 # (R = seed @ beta0 in the seed frame) and retry against the
                 # next cycle's basis.
-                if in_frame[k]:
+                if k not in stalled_resid:
                     stalled_resid[k] = seed @ state.beta0[k]
-                    in_frame[k] = False
                 state.residual_history[k].append(np.inf)
                 continue
             Y = Ycyc[:, k * p : (k + 1) * p]
             Yrec[k] = Y
-            if in_frame[k]:
+            if k not in stalled_resid:
                 lift.append(k)
                 continue
             # Off-frame update: the residual formula does not apply, so

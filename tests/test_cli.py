@@ -384,6 +384,28 @@ class TestInputRules:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "missing").exists()
 
+    def test_bad_m_max_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(config):
+            raise AssertionError("operator built before --m-max was checked")
+
+        monkeypatch.setattr(cli, "make_operator", no_work)
+        out = tmp_path / "c.dat"
+        assert main(["curves", "--gallery", "rot2", "--n", "40", "--p", "2", "--m-max", "0",
+                     "--funcs", "exp", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--m-max" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_matrix_market_input_exits_2(self, tmp_path, capsys):
+        mtx = tmp_path / "empty.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
+        out = tmp_path / "o.csv"
+        assert main(["matfun", "--input", str(mtx), "--p", "1", "--m", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n >= 1" in err and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [
         ["--gallery", "foo", "--n", "40"],
         ["--gallery", "tridiag", "--n", "1"],

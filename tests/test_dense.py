@@ -5,9 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ebhess import pivot_block_solve, plu_factor
-from ebhess.dense import _plu_in_place
-from ebhess.errors import DimensionMismatch, RankDeficient, SingularPivotBlock
+from ebhess import FunctionSpec, funm, pivot_block_solve, plu_factor
+from ebhess.dense import _plu_in_place, singular
+from ebhess.ebh import _inv_upper
+from ebhess.errors import (
+    BranchCutViolation,
+    DimensionMismatch,
+    RankDeficient,
+    SingularCoefficient,
+    SingularPivotBlock,
+)
 from _util import reference_plu
 
 
@@ -161,6 +168,11 @@ class TestPivotBlockSolve:
         H = pivot_block_solve(Vk, pk, W)
         assert np.linalg.norm(Vk[pk, :] @ H - W[pk, :]) <= 1e-12 * np.linalg.norm(W[pk, :])
 
+    def test_non_finite_block(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(SingularPivotBlock):
+                pivot_block_solve(np.array([[bad, 1.0], [0.0, 2.0]]), [0, 1], np.ones((2, 2)))
+
     def test_bad_pivot_sets(self):
         Vk = np.eye(4)[:, :2]
         with pytest.raises(DimensionMismatch):
@@ -168,3 +180,44 @@ class TestPivotBlockSolve:
         with pytest.raises(DimensionMismatch):
             pivot_block_solve(Vk, [0, 9], np.ones((4, 2)))
 
+
+
+# Pivot ratios just below, at and just above the threshold eps * N of a
+# diagonal of N = 4 pivots whose largest is 1.
+_N = 4
+_AT = np.finfo(float).eps * _N
+_RATIOS = {"below": np.nextafter(_AT, 0.0), "at": _AT, "above": np.nextafter(_AT, 1.0)}
+
+
+def _pivots(ratio):
+    return np.array([1.0, -0.5, ratio, 0.25])
+
+
+class TestSingular:
+    @pytest.mark.parametrize("where", _RATIOS)
+    def test_threshold(self, where):
+        d = _pivots(_RATIOS[where])
+        assert singular(d) == (where != "above")
+        assert singular(-d) == singular(d)
+        assert singular(d * 2.0**-900) == singular(d)  # relative to the largest pivot
+
+    @pytest.mark.parametrize("pivots", [
+        _pivots(np.nan), [np.nan, 1.0], [1.0, np.nan], np.zeros(0), np.zeros(3), [1.0, np.inf],
+    ], ids=["nan", "nan-first", "nan-last", "empty", "zero", "inf"])
+    def test_degenerate_diagonals_are_singular(self, pivots):
+        assert singular(np.array(pivots))
+
+    @pytest.mark.parametrize("where", _RATIOS)
+    @pytest.mark.parametrize("call, error", [
+        # A diagonal matrix's LU pivots are its diagonal.
+        (lambda D: funm(FunctionSpec.resolvent(0.0), D), BranchCutViolation),
+        (lambda D: pivot_block_solve(D, np.arange(_N), np.ones((_N, 1))), SingularPivotBlock),
+        (lambda D: _inv_upper(D, "H"), SingularCoefficient),
+    ], ids=["funm-resolvent", "pivot_block_solve", "ebh-inv_upper"])
+    def test_each_caller_raises_its_error(self, where, call, error):
+        D = np.diag(_pivots(_RATIOS[where]))
+        if where == "above":
+            assert np.isfinite(call(D)).all()
+        else:
+            with pytest.raises(error):
+                call(D)

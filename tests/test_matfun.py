@@ -121,6 +121,13 @@ class TestSqrtmLogm:
         assert calls == ["logm", "sqrtm", "sqrtm"]
 
 
+# One spec per FunctionSpec tag, and a Laurent polynomial of each sign.
+NON_FINITE_SPECS = [FunctionSpec.from_name(name) for name in FunctionSpec.NAMES] + [
+    FunctionSpec.resolvent(1.0), FunctionSpec.laurent({-1: 1.0}), FunctionSpec.laurent({2: 1.0}),
+    FunctionSpec.custom(np.exp),
+]
+
+
 class TestFunm:
     def test_resolvent_diag(self):
         got = funm(FunctionSpec.resolvent(1.0), np.diag([1.0, 3.0]))
@@ -142,6 +149,16 @@ class TestFunm:
         # exp(800)/(-800) overflows; the eigen path must not return inf/nan.
         with pytest.raises(Overflow):
             funm(FunctionSpec.exp_neg_over_x(), np.diag([-800.0, 1.0]))
+
+    def test_non_finite_specs_cover_every_tag(self):
+        assert {spec.tag for spec in NON_FINITE_SPECS} == set(matfun._FUNCTIONS)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("spec", NON_FINITE_SPECS, ids=lambda s: (
+        f"laurent{s.params[0][0][0]:+d}" if s.tag == "laurent" else s.tag))
+    def test_non_finite_entry_is_overflow(self, spec, bad):
+        with pytest.raises(Overflow, match="funm"):
+            funm(spec, np.array([[bad, 1.0], [0.0, 2.0]]))
 
     def test_exp_neg_over_x_pole_guard(self):
         with pytest.raises(BranchCutViolation):

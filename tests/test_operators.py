@@ -139,6 +139,16 @@ class TestApplySolve:
             FactorizedOperator.from_rot2(np.array([0.0, 1.0]), 0.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: FactorizedOperator.from_dense(np.zeros((0, 0))),
+    lambda: FactorizedOperator.from_sparse(sp.csr_matrix((0, 0))),
+    lambda: FactorizedOperator.from_rot2(np.zeros(0), 1.0),
+], ids=["from_dense", "from_sparse", "from_rot2"])
+def test_empty_operator_is_dimension_mismatch(make):
+    with pytest.raises(DimensionMismatch, match="n >= 1"):
+        make()
+
+
 class TestNonFiniteEntries:
     @pytest.mark.parametrize("make", [
         FactorizedOperator.from_dense,
