@@ -1,15 +1,17 @@
-"""Dense kernels: two-output pivoted LU, pivot-row solves and the singular-LU rule.
+"""Dense kernels: two-output pivoted LU, pivot-row solves, the singular-LU rule and a GEMM.
 
 Blocks are plain float64 ndarrays.  The two-output pivoted LU returns the
 *permuted* unit lower trapezoidal factor together with the rows that carry
 the unit entries, which is the primitive the basis recursion is built on.
 """
 
+import ctypes
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import cython_blas
 
 from .errors import DimensionMismatch, RankDeficient, SingularPivotBlock
 
@@ -20,6 +22,20 @@ SMALL_DIM_LIMIT = 4096
 BREAKDOWN_TOL = 1e-13
 
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+
+
+def _capsule_dgemm():
+    # scipy's own dgemm, the routine ``sla.get_blas_funcs("gemm")`` reaches,
+    # from its Cython capsule.  Called through ctypes it runs with the GIL
+    # released, which scipy's f2py wrapper does not do.
+    capsule, api = cython_blas.__pyx_capi__["dgemm"], ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 13)(address)
+
+
+_DGEMM = _capsule_dgemm()
 
 
 @dataclass
@@ -92,6 +108,30 @@ def _plu_in_place(lu):
     for i, j in enumerate(piv):
         perm[i], perm[j] = perm.get(j, j), perm.get(i, i)
     return U, np.array([perm[k] for k in r]), colmax
+
+
+def _gemm(A, B, C, beta):
+    """``C = A @ B + beta * C`` in place by BLAS dgemm, with the GIL released.
+
+    Each operand must be a float64 matrix with unit row stride (Fortran
+    layout, which column slices keep), and C writable and apart from A and B;
+    anything else raises :class:`DimensionMismatch` before BLAS is called."""
+    lds = []
+    for M in (A, B, C):
+        ok = M.dtype == np.float64 and M.ndim == 2 and M.strides[0] == 8
+        if ok:
+            ld = M.strides[1] // 8 if M.shape[1] > 1 else max(M.shape[0], 1)
+            ok = M.strides[1] % 8 == 0 and max(M.shape[0], 1) <= ld < 2**31
+        if not ok:
+            raise DimensionMismatch("gemm: operands must be float64 matrices with unit row stride")
+        lds.append(ld)
+    if B.shape[0] != A.shape[1] or C.shape != (A.shape[0], B.shape[1]) or not C.flags.writeable \
+            or np.may_share_memory(C, A) or np.may_share_memory(C, B):
+        raise DimensionMismatch(f"gemm: cannot write {A.shape} @ {B.shape} into {C.shape}")
+    m, n, k, lda, ldb, ldc = (ctypes.byref(ctypes.c_int(v)) for v in (*C.shape, A.shape[1], *lds))
+    one, beta = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(beta))
+    _DGEMM(b"N", b"N", m, n, k, one, A.ctypes.data, lda, B.ctypes.data, ldb,
+           beta, C.ctypes.data, ldc)
 
 
 def singular(pivots):

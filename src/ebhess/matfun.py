@@ -215,7 +215,7 @@ _FUNCTIONS = {
     ),
     "laurent": (
         lambda z, pairs: sum((c * z.astype(complex) ** j for j, c in pairs), np.zeros(z.shape, complex)),
-        lambda M, pairs: _laurent_matrix(M, pairs),
+        lambda M, pairs: _finite("funm(laurent)", _laurent_matrix, M, pairs),
     ),
     "custom": (lambda z, fn: fn(z), lambda M, fn: _funm_eig(fn, M, "funm(custom)")),
 }

@@ -9,25 +9,31 @@ The per-shift work is only a pivoted LU (LAPACK getrf/getrs, called
 directly; ``dense.singular`` judges its pivots) of the small shifted matrix.
 Each cycle solves the reduced systems in place, side by side in one matrix,
 and every run of consecutive shifts is lifted back to X with one in-place
-GEMM against the n-row basis, so the basis is read once per run, not once
-per shift.
+GEMM against the n-row basis per half of X's rows, so the basis is read
+once per run, not once per shift.
 
-A cycle's reduced systems are independent and getrf/getrs release the GIL,
-so when 2mp >= ``_SPLIT_MIN_N`` and two or more shifts are active, one helper
-thread, started and joined within the cycle, factors and solves the second
-half of them.  It only reads the projection and writes its own columns, and
-calls no operator, no observer and no name that ``perfbench/tracing.py``
-patches; everything else runs on the calling thread in shift order, so X has
-the same bits split or not.
+A cycle's reduced systems are independent, the lift of each half of X's
+rows is too, and getrf/getrs and the lift's GEMM (``dense._gemm``: scipy's
+dgemm called through ctypes, as scipy's f2py ``gemm`` holds the GIL) release
+the GIL.  So when 2mp >= ``_SPLIT_MIN_N`` and two or more shifts are
+active, one helper thread, started and joined within the cycle, factors and
+solves the second half of the shifts and then lifts the second half of X's
+rows, each while the caller does the first half; otherwise the caller does
+both halves in turn.  The helper only reads the projection and the basis,
+writes its own buffer, its shifts' columns of the solutions and its rows of
+X, and calls no operator, no observer and no name that
+``perfbench/tracing.py`` patches; everything else runs on the calling
+thread in shift order, so X has the same bits split or not.
 """
 
+import contextlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import as_block, pivot_block_solve, plu_factor, singular  # pivot_block_solve: tracer only
+from .dense import _gemm, as_block, pivot_block_solve, plu_factor, singular  # pivot_block_solve: tracer only
 from .ebh import ExtendedBasis, basis_fits, build_T, ebha_run, invariant_projection, left_apply
 from .errors import (
     BadConfig,
@@ -38,8 +44,8 @@ from .errors import (
     ReducedSystemSingular,
 )
 
-# Smallest reduced order 2mp at which a cycle's shifts are split over two
-# threads.  Below it a shift's getrf/getrs is too short for a second thread to
+# Smallest reduced order 2mp at which a cycle's solves and lift are split over
+# two threads.  Below it a shift's getrf/getrs is too short for a second thread to
 # pay for the GIL hand-overs around it: at 2mp = 30 a shift is about 5 us of
 # LAPACK in about 20 us of Python.  Crossover sweep in CHANGES.md.
 _SPLIT_MIN_N = 64
@@ -117,16 +123,17 @@ def solve_shifted(problem, observer=None):
     residual coordinates as the new right-hand sides.
 
     Each reduced system is factored with partial pivoting by LAPACK getrf in
-    a buffer reused across shifts and solved by getrs in place, in its own columns of a
-    fresh (2mp, K*p) matrix per cycle.  When 2mp >= 64 and two or more shifts
-    are active, one helper thread factors and solves the second half of the
-    cycle's shifts with its own buffer while the caller does the first; it is
-    joined before the cycle goes on, so at most one helper runs per call and
-    none outlives it.  The helper calls neither the operator nor the observer,
-    and X has the same bits as on one thread.  Each run of consecutive in-frame
+    a reused buffer and solved by getrs in place, in its own columns of a
+    fresh (2mp, K*p) matrix per cycle.  Each run of consecutive in-frame
     shifts solved in the cycle then updates its columns of X with one GEMM
-    against the basis, and its residual coordinates and residual norms with
-    one product against ``tau`` and the R factor of the next seed.
+    against the basis per half of X's rows, and its residual coordinates and
+    residual norms with one product against ``tau`` and the R factor of the
+    next seed.  When 2mp >= 64 and two or more shifts are active, one helper
+    thread solves the second half of the shifts and lifts the second half of
+    the rows while the caller does the first halves; it is joined before the
+    cycle goes on, so at most one helper runs per call and none outlives it.
+    The helper calls neither the operator nor the observer, and X has the
+    same bits as on one thread.
 
     Memory: X plus one cycle's basis; the next seed is copied out, so a
     cycle's basis is freed (unless the observer keeps it) before the next.
@@ -172,7 +179,6 @@ def solve_shifted(problem, observer=None):
         return state
 
     N = 2 * m * p
-    diag = np.arange(N)
     while True:
         active = np.where(~state.converged)[0]
         if len(active) == 0:
@@ -201,25 +207,25 @@ def solve_shifted(problem, observer=None):
         # ||next_seed @ beta||_F = ||R @ beta||_F for next_seed = Q R.
         R_next = np.linalg.qr(next_seed, mode="r")
         T = np.asfortranarray(proj.T)
-        T_diag = np.diag(proj.T)
         getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (T,))
-        gemm, = sla.get_blas_funcs(("gemm",), (Vb,))
         g11 = basis.gamma11
 
         # Shift k solves in columns k*p:(k+1)*p.  The matrix is not reused,
         # so the observer's Y stay valid after the cycle.
         Ycyc = np.empty((N, K * p), order="F")
+        Ycyc[p:] = 0.0  # every in-frame right-hand side is zero below row p
         off_rhs = {k: left_apply(basis, stalled_resid[k], 2 * m) for k in active if k in stalled_resid}
 
-        def factor_and_solve(ks):
+        def solve(ks):
             # Solve each shift's reduced system in its columns of Ycyc; return
             # whether each was singular (then left unsolved).  May run on the
             # helper thread, so it writes nothing but its own buffer and columns.
             shifted_T = np.empty((N, N), order="F")
+            diagonal = shifted_T.ravel(order="F")[:: N + 1]
             unsolved = []
             for k in ks:
                 shifted_T[...] = T
-                shifted_T[diag, diag] = T_diag + sigmas[k]
+                diagonal += sigmas[k]
                 lu, piv, info = getrf(shifted_T, overwrite_a=True)
                 unsolved.append(info > 0 or singular(np.diag(lu)))
                 if unsolved[-1]:
@@ -229,21 +235,36 @@ def solve_shifted(problem, observer=None):
                     Y[...] = off_rhs[k]
                 else:
                     Y[:p] = g11 @ state.beta0[k]
-                    Y[p:] = 0.0
                 getrs(lu, piv, Y, overwrite_b=1)
             return unsolved
 
-        if N >= _SPLIT_MIN_N and len(active) >= 2:
-            half = (len(active) + 1) // 2
-            with ThreadPoolExecutor(max_workers=1) as helper:
-                second = helper.submit(factor_and_solve, active[half:])
-                unsolved = factor_and_solve(active[:half]) + second.result()
-        else:
-            unsolved = factor_and_solve(active)
+        def lift(rows):
+            # One maximal run of consecutive in-frame shifts is one contiguous
+            # column block of both Ycyc and X: add its lift into those rows of
+            # X with one GEMM.  May run on the helper thread, so it writes
+            # nothing but these rows of X.
+            for run in runs:
+                cols = slice(run[0] * p, (run[-1] + 1) * p)
+                _gemm(Vb[rows], Ycyc[:, cols], Xmat[rows, cols], 1.0)
+
+        # The solves are split into two halves of the shifts and the lift into
+        # two halves of X's rows, whether or not a helper thread takes the
+        # second halves, so X's GEMMs are the same either way.  Cutting rows,
+        # not shifts, keeps every run in one GEMM per half and reads the basis
+        # once, which matters on one thread at large n.  The cut is a multiple
+        # of 64 rows, where OpenBLAS's row blocks start anyway: with scipy's
+        # OpenBLAS on one thread the halves give the bits of one GEMM.
+        half, cut = (len(active) + 1) // 2, n // 128 * 64
+        split = N >= _SPLIT_MIN_N and len(active) >= 2
+        with ThreadPoolExecutor(max_workers=1) if split else contextlib.nullcontext() as helper:
+            first, second = _in_halves(helper, solve, active[:half], active[half:])
+            unsolved = first + second
+            lifted = active[[not (bad or k in off_rhs) for k, bad in zip(active, unsolved)]]
+            runs = np.split(lifted, np.flatnonzero(np.diff(lifted) != 1) + 1) if len(lifted) else []
+            _in_halves(helper, lift, np.s_[:cut], np.s_[cut:])
 
         Yrec, Rrec = {}, {}
         done = []      # (index, residual) of every shift solved this cycle
-        lift = []      # in-frame shifts solved this cycle, ascending
         for k, is_unsolved in zip(active, unsolved):
             if is_unsolved:
                 # sigma hit a Ritz value; freeze this shift's residual
@@ -256,8 +277,7 @@ def solve_shifted(problem, observer=None):
             Y = Ycyc[:, k * p : (k + 1) * p]
             Yrec[k] = Y
             if k not in stalled_resid:
-                lift.append(k)
-                continue
+                continue  # lifted above; its residual follows with its run
             # Off-frame update: the residual formula does not apply, so
             # measure directly, and accept the step only if it helps (a
             # stalled shift can sit on an indefinite shifted operator,
@@ -271,15 +291,10 @@ def solve_shifted(problem, observer=None):
             else:
                 res = float(np.linalg.norm(stalled_resid[k]))
             done.append((k, res))
-        # One maximal run of consecutive shifts is one contiguous column
-        # block of both Ycyc and X: lift it with one GEMM that adds into X in
-        # place, and take its next residual coordinates beta = -tau Y[-2p:]
-        # and their norms ||next_seed beta||_F together.
-        lift = np.array(lift, dtype=int)
-        runs = np.split(lift, np.flatnonzero(np.diff(lift) != 1) + 1) if len(lift) else []
+        # Each run takes its next residual coordinates beta = -tau Y[-2p:] and
+        # their norms ||next_seed beta||_F together.
         for run in runs:
             cols = slice(run[0] * p, (run[-1] + 1) * p)
-            gemm(1.0, Vb, Ycyc[:, cols], beta=1.0, c=Xmat[:, cols], overwrite_c=1)
             beta = -proj.tau @ Ycyc[-2 * p :, cols]
             res = np.linalg.norm((R_next @ beta).reshape(p, len(run), p), axis=(0, 2))
             state.beta0[run] = beta.reshape(p, len(run), p).swapaxes(0, 1)
@@ -301,6 +316,14 @@ def solve_shifted(problem, observer=None):
         del proj, Vb, Ycyc, Yrec
         seed = next_seed.copy(order="F")
         del basis, next_seed
+
+
+def _in_halves(helper, work, first, second):
+    """``(work(first), work(second))``; the second runs on the ``helper``
+    executor, next to the first, when one is given."""
+    later = helper.submit(work, second) if helper else None
+    done = work(first)
+    return done, later.result() if later else work(second)
 
 
 def _invariant_subspace_solve(problem, state, basis, error):

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ebhess import FunctionSpec, funm, pivot_block_solve, plu_factor
-from ebhess.dense import _plu_in_place, singular
+from ebhess import FunctionSpec, dense, funm, pivot_block_solve, plu_factor
+from ebhess.dense import _gemm, _plu_in_place, singular
 from ebhess.ebh import _inv_upper
 from ebhess.errors import (
     BranchCutViolation,
@@ -221,3 +221,64 @@ class TestSingular:
         else:
             with pytest.raises(error):
                 call(D)
+
+
+def _gemm_operands(n=203, N=20, K=9, p=5):
+    """The layouts solve_shifted passes: the basis as the first N columns of an
+    F-ordered store, a cycle's F-ordered reduced solutions, and X as the
+    transpose of a (K, p, n) array, so its column slices have ld = n."""
+    rng = np.random.default_rng(4)
+    Vb = np.asfortranarray(rng.standard_normal((n, N + p)))[:, :N]
+    Y = np.asfortranarray(rng.standard_normal((N, K * p)))
+    Xs = rng.standard_normal((K, p, n))
+    return Vb, Y, Xs
+
+
+class TestGemm:
+    @pytest.mark.parametrize("beta", [1.0, 0.0])
+    @pytest.mark.parametrize("rows", [slice(None), slice(0, 128), slice(128, None)], ids=str)
+    @pytest.mark.parametrize("shifts", [(0, 9), (2, 5), (4, 5), (8, 9)], ids=str)
+    def test_same_bits_as_scipy_gemm(self, shifts, rows, beta):
+        # solve_shifted's lift: Vb[rows] @ Y[:, cols] added into X[rows, cols].
+        Vb, Y, Xs = _gemm_operands()
+        K, p, n = Xs.shape
+        cols = slice(shifts[0] * p, shifts[1] * p)
+        got, want = Xs.copy(), Xs.copy()
+        X = got.reshape(K * p, n).T
+        _gemm(Vb[rows], Y[:, cols], X[rows, cols], beta)
+        gemm = sla.get_blas_funcs("gemm", (Vb,))
+        W = want.reshape(K * p, n).T
+        W[rows, cols] = gemm(1.0, Vb[rows], Y[:, cols], beta=beta, c=W[rows, cols], overwrite_c=1)
+        assert_array_equal(got, want)
+        # nothing outside the block is written
+        X0 = Xs.reshape(K * p, n).T
+        outside = np.ones(X.shape, bool)
+        outside[rows, cols] = False
+        assert_array_equal(X[outside], X0[outside])
+        assert_allclose(X[rows, cols], Vb[rows] @ Y[:, cols] + beta * X0[rows, cols],
+                        rtol=1e-13, atol=1e-13)
+
+    def test_bad_operands_raise_before_blas(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dense, "_DGEMM", lambda *args: calls.append(args))
+        Vb, Y, Xs = _gemm_operands()
+        X = Xs.reshape(-1, Vb.shape[0]).T
+        read_only = X.copy(order="F")
+        read_only.flags.writeable = False
+        bad = {
+            "C-ordered A": (np.ascontiguousarray(Vb), Y, X),
+            "C-ordered C": (Vb, Y, np.ascontiguousarray(X)),
+            "row-strided B": (Vb, np.asfortranarray(np.repeat(Y, 2, axis=0))[::2], X),
+            "float32 A": (Vb.astype(np.float32), Y, X),
+            "1-D B": (Vb, Y[:, 0], X[:, 0]),
+            "inner sizes": (Vb, Y[1:], X),
+            "C shape": (Vb, Y, X[:, 1:]),
+            "read-only C": (Vb, Y, read_only),
+            "C overlaps A": (X[:, : Vb.shape[1]], Y, X),
+        }
+        for operands in bad.values():
+            with pytest.raises(DimensionMismatch, match="gemm"):
+                _gemm(*operands, 1.0)
+        assert calls == []
+        _gemm(Vb, Y, X, 1.0)
+        assert len(calls) == 1

@@ -150,6 +150,13 @@ class TestFunm:
         with pytest.raises(Overflow):
             funm(FunctionSpec.exp_neg_over_x(), np.diag([-800.0, 1.0]))
 
+    @pytest.mark.parametrize("coeffs", [{2: 1.0}, {0: 1.0, 1: 2.0, 3: -1.0}])
+    def test_laurent_power_overflow_is_overflow(self, coeffs):
+        # (1e200)^2 overflows in the explicit powers: the typed error, not an
+        # inf entry and not numpy's RuntimeWarning (an error in this suite).
+        with pytest.raises(Overflow, match=r"funm\(laurent\)"):
+            funm(FunctionSpec.laurent(coeffs), np.diag([1e200, 1.0]))
+
     def test_non_finite_specs_cover_every_tag(self):
         assert {spec.tag for spec in NON_FINITE_SPECS} == set(matfun._FUNCTIONS)
 

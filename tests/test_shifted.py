@@ -334,6 +334,39 @@ class TestTwoThreadReducedSolves:
                                              m=5, eps=1e-9))
         assert state.converged.all() and started == []
 
+    def test_both_threads_lift(self, monkeypatch):
+        # Each thread adds the lift of every run of in-frame shifts into its
+        # half of X's rows (n = 256, cut at row 128).  The runs are {0..5}
+        # and {7}, as shift 6 is singular in cycle 1 and off-frame after, and
+        # {1..5} and {7} in cycle 3, as shift 0 converged in cycle 2.
+        # Run alone, the same GEMMs run on the calling thread.
+        gemm, calls, cuts = shifted._gemm, [], []
+
+        def recording_gemm(A, B, C, beta):
+            calls.append((threading.current_thread(), C.shape))
+            gemm(A, B, C, beta)
+
+        monkeypatch.setattr(shifted, "_gemm", recording_gemm)
+        caller = threading.current_thread()
+        runs = [[(128, 30), (128, 5)]] * 2 + [[(128, 25), (128, 5)]]
+        for split in (True, False):
+            if not split:
+                monkeypatch.setattr(shifted, "_SPLIT_MIN_N", 10**9)
+            calls.clear()
+            cuts.clear()
+            with pytest.raises(NotConverged):
+                solve_shifted(self._ritz_problem(), observer=lambda rec: cuts.append(len(calls)))
+            assert len(cuts) == 3
+            for lo, hi, want in zip([0, *cuts], cuts, runs):
+                cycle = calls[lo:hi]
+                mine = [shape for thread, shape in cycle if thread is caller]
+                other = [shape for thread, shape in cycle if thread is not caller]
+                if split:
+                    assert mine == other == want
+                    assert len({thread for thread, _ in cycle}) == 2
+                else:
+                    assert mine == want + want and other == []
+
     def test_helper_error_reaches_the_caller(self, monkeypatch):
         # getrf fails on the helper thread only; the caller sees the error,
         # and the helper is joined before solve_shifted returns.
