@@ -169,7 +169,7 @@ def run_shifted_table(config):
             try:
                 state, status = solve_shifted(problem), "ok"
             except NotConverged as exc:
-                state, status = exc.state, "NotConverged"
+                state, status = exc.state, type(exc).__name__
             except EbhessError as exc:
                 state, status = None, type(exc).__name__
                 break

@@ -7,6 +7,7 @@ earlier blocks (rather than orthogonally against the blocks themselves), and
 normalized with a pivoted LU in place of a QR factorization.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,10 +95,10 @@ def start_block(A, V, m):
         raise DimensionMismatch(f"V has {n} rows, operator is {A.n}")
     if p < 1:
         raise DimensionMismatch("V has no columns")
+    if not (isinstance(m, numbers.Integral) and m >= 1):
+        raise DimensionMismatch(f"need a whole number of steps m >= 1, got {m!r}")
     if not basis_fits(n, p, m):
         raise DimensionMismatch(f"(2m+1)p = {(2 * m + 1) * p} exceeds n = {n}")
-    if m < 1:
-        raise DimensionMismatch("need at least one step")
     return V, n, p
 
 

@@ -74,23 +74,27 @@ class AssumptionViolated(EbhessError):
     """A precondition of an error bound does not hold for this operator."""
 
 
-class ReducedSystemSingular(EbhessError):
-    """A shifted reduced system is singular to working precision."""
-
-    def __init__(self, sigma, message=None):
-        self.sigma = sigma
-        super().__init__(message or f"reduced system singular for shift {sigma}")
-
-
 class NotConverged(EbhessError):
     """Restart cap reached with shifts still above tolerance."""
 
-    def __init__(self, unconverged, state=None):
+    def __init__(self, unconverged, state=None, message=None):
         self.unconverged = list(unconverged)
         self.state = state
         super().__init__(
-            f"{len(self.unconverged)} shift(s) not converged at the restart cap"
+            message or f"{len(self.unconverged)} shift(s) not converged at the restart cap"
         )
+
+
+class ReducedSystemSingular(NotConverged):
+    """A shifted reduced system is singular to working precision.
+
+    ``solve_shifted`` froze that shift and solved the others on; ``sigma`` is
+    the first frozen shift, ``unconverged`` lists every shift not converged
+    (the frozen ones included) and ``state`` holds every shift's X."""
+
+    def __init__(self, sigma, unconverged, state=None):
+        self.sigma = sigma
+        super().__init__(unconverged, state, f"reduced system singular for shift {sigma}")
 
 
 class BadConfig(EbhessError, ValueError):

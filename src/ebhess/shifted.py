@@ -4,6 +4,9 @@ One basis per cycle serves every shift: each unconverged shift solves its
 own small reduced system, the residual norm comes from the trailing-block
 formula without touching A, converged shifts are deflated, and the next
 cycle restarts from the (2m+1)-th basis block, which carries every residual.
+A shift whose reduced system is singular (sigma on a Ritz value) has no
+residual in that block, so it is frozen and not solved again, and the solve
+ends with ``ReducedSystemSingular`` once no other shift is left to solve.
 
 The per-shift work is only a pivoted LU (LAPACK getrf/getrs, called
 directly; ``dense.singular`` judges its pivots) of the small shifted matrix.
@@ -27,6 +30,7 @@ thread in shift order, so X has the same bits split or not.
 """
 
 import contextlib
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -34,7 +38,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .dense import _gemm, as_block, pivot_block_solve, plu_factor, singular  # pivot_block_solve: tracer only
-from .ebh import ExtendedBasis, basis_fits, build_T, ebha_run, invariant_projection, left_apply
+from .ebh import ExtendedBasis, basis_fits, build_T, ebha_run, invariant_projection
 from .errors import (
     BadConfig,
     Breakdown,
@@ -71,6 +75,10 @@ class ShiftedProblem:
             raise BadConfig("need at least one shift")
         if not np.isfinite(self.shifts).all():
             raise BadConfig("shifts must be finite")
+        if not (isinstance(self.m, numbers.Integral) and self.m >= 1):
+            raise BadConfig(f"m must be an integer >= 1, got {self.m!r}")
+        if not (isinstance(self.max_restarts, numbers.Integral) and self.max_restarts >= 1):
+            raise BadConfig(f"max_restarts must be an integer >= 1, got {self.max_restarts!r}")
         if self.C.shape[0] != self.A.n:
             raise DimensionMismatch("C row count does not match the operator")
 
@@ -101,8 +109,8 @@ class CycleRecord:
     cycle: int
     basis: object
     projected: object
-    active: np.ndarray            # indices attempted this cycle
-    Y: dict = field(repr=False)   # index -> reduced solution (solved ones only)
+    active: np.ndarray            # indices attempted this cycle: unconverged, not frozen
+    Y: dict = field(repr=False)   # index -> reduced solution (not for a shift frozen here)
     residuals: dict = field(repr=False)  # index -> residual norm
     state: ShiftedState = None
 
@@ -124,8 +132,8 @@ def solve_shifted(problem, observer=None):
 
     Each reduced system is factored with partial pivoting by LAPACK getrf in
     a reused buffer and solved by getrs in place, in its own columns of a
-    fresh (2mp, K*p) matrix per cycle.  Each run of consecutive in-frame
-    shifts solved in the cycle then updates its columns of X with one GEMM
+    fresh (2mp, K*p) matrix per cycle.  Each run of consecutive shifts
+    solved in the cycle then updates its columns of X with one GEMM
     against the basis per half of X's rows, and its residual coordinates and
     residual norms with one product against ``tau`` and the R factor of the
     next seed.  When 2mp >= 64 and two or more shifts are active, one helper
@@ -138,13 +146,18 @@ def solve_shifted(problem, observer=None):
     Memory: X plus one cycle's basis; the next seed is copied out, so a
     cycle's basis is freed (unless the observer keeps it) before the next.
 
-    A shift whose reduced system is singular skips the cycle and is retried
-    on the next basis with its residual reduced explicitly.  ``observer``,
-    when given, is called with a :class:`CycleRecord` after every cycle.
-    A breakdown on an A-invariant span finishes exactly there; others re-raise.
+    A shift whose reduced system is singular (sigma on a Ritz value) is
+    frozen: it keeps its X, its residual coordinates and one ``inf`` in its
+    residual history, and is never solved again.  The cycles go on while an
+    unconverged shift is not frozen and the restart cap is not hit.
+    ``observer``, when given, is called with a :class:`CycleRecord` after
+    every cycle.  A breakdown on an A-invariant span finishes exactly there;
+    others re-raise.
 
-    Raises :class:`NotConverged` (with the partial state attached) if the
-    restart cap is hit first.
+    Raises :class:`ReducedSystemSingular`, naming the first frozen shift, if
+    any shift was frozen, else :class:`NotConverged` if the restart cap is hit
+    first; both carry the partial state, so the converged shifts' X are kept.
+    Another m gives another basis, on which a frozen shift may well be solvable.
     """
     A, C = problem.A, problem.C
     n, p = C.shape
@@ -163,10 +176,10 @@ def solve_shifted(problem, observer=None):
     )
     # beta0 holds residual coordinates relative to the current seed block:
     # R_sigma = seed @ beta0[sigma].  The first seed is C itself, so the
-    # initial coordinates are the identity.  A shift that stalls on a singular
-    # reduced system leaves that frame and stays in stalled_resid until it converges.
+    # initial coordinates are the identity.  A frozen shift's coordinates stay
+    # in the frame of the seed it was frozen on.
     seed = C
-    stalled_resid = {}  # index -> explicit residual block (n, p)
+    frozen = np.zeros(K, dtype=bool)
 
     if not basis_fits(n, p, m):
         try:
@@ -174,33 +187,18 @@ def solve_shifted(problem, observer=None):
         except RankDeficient as exc:
             raise Breakdown(1) from exc
         b = ExtendedBasis(n, p, m, f.permuted_unit_lower, [f.pivot_rows], np.zeros((p, 0)), f.upper)
-        _invariant_subspace_solve(problem, state, b, DimensionMismatch(
+        return _invariant_subspace_solve(problem, state, frozen, b, DimensionMismatch(
             "operator too small for m steps and seed subspace is not invariant"))
-        return state
 
     N = 2 * m * p
-    while True:
-        active = np.where(~state.converged)[0]
+    while state.restart_count < problem.max_restarts:
+        active = np.where(~(state.converged | frozen))[0]
         if len(active) == 0:
-            return state
-        if state.restart_count >= problem.max_restarts:
-            never_solved = [
-                k for k in active
-                if state.residual_history[k] and not np.isfinite(state.residual_history[k]).any()
-            ]
-            if never_solved:
-                raise ReducedSystemSingular(
-                    sigmas[never_solved[0]],
-                    f"reduced system singular in every cycle for shifts "
-                    f"{sigmas[never_solved].tolist()}",
-                )
-            raise NotConverged(sigmas[active], state)
-
+            break
         try:
             basis = ebha_run(A, seed, m)
         except Breakdown as exc:
-            _invariant_subspace_solve(problem, state, exc.basis, exc)
-            return state
+            return _invariant_subspace_solve(problem, state, frozen, exc.basis, exc)
         proj = build_T(basis)
         Vb = basis.matrix(2 * m)
         next_seed = basis.blocks[2 * m]
@@ -213,8 +211,7 @@ def solve_shifted(problem, observer=None):
         # Shift k solves in columns k*p:(k+1)*p.  The matrix is not reused,
         # so the observer's Y stay valid after the cycle.
         Ycyc = np.empty((N, K * p), order="F")
-        Ycyc[p:] = 0.0  # every in-frame right-hand side is zero below row p
-        off_rhs = {k: left_apply(basis, stalled_resid[k], 2 * m) for k in active if k in stalled_resid}
+        Ycyc[p:] = 0.0  # every right-hand side is zero below row p
 
         def solve(ks):
             # Solve each shift's reduced system in its columns of Ycyc; return
@@ -231,15 +228,12 @@ def solve_shifted(problem, observer=None):
                 if unsolved[-1]:
                     continue
                 Y = Ycyc[:, k * p : (k + 1) * p]
-                if k in off_rhs:
-                    Y[...] = off_rhs[k]
-                else:
-                    Y[:p] = g11 @ state.beta0[k]
+                Y[:p] = g11 @ state.beta0[k]
                 getrs(lu, piv, Y, overwrite_b=1)
             return unsolved
 
         def lift(rows):
-            # One maximal run of consecutive in-frame shifts is one contiguous
+            # One maximal run of consecutive solved shifts is one contiguous
             # column block of both Ycyc and X: add its lift into those rows of
             # X with one GEMM.  May run on the helper thread, so it writes
             # nothing but these rows of X.
@@ -259,38 +253,18 @@ def solve_shifted(problem, observer=None):
         with ThreadPoolExecutor(max_workers=1) if split else contextlib.nullcontext() as helper:
             first, second = _in_halves(helper, solve, active[:half], active[half:])
             unsolved = first + second
-            lifted = active[[not (bad or k in off_rhs) for k, bad in zip(active, unsolved)]]
+            lifted = active[np.logical_not(unsolved)]
             runs = np.split(lifted, np.flatnonzero(np.diff(lifted) != 1) + 1) if len(lifted) else []
             _in_halves(helper, lift, np.s_[:cut], np.s_[cut:])
 
         Yrec, Rrec = {}, {}
-        done = []      # (index, residual) of every shift solved this cycle
         for k, is_unsolved in zip(active, unsolved):
             if is_unsolved:
-                # sigma hit a Ritz value; freeze this shift's residual
-                # (R = seed @ beta0 in the seed frame) and retry against the
-                # next cycle's basis.
-                if k not in stalled_resid:
-                    stalled_resid[k] = seed @ state.beta0[k]
+                # sigma hit a Ritz value: freeze this shift.
+                frozen[k] = True
                 state.residual_history[k].append(np.inf)
-                continue
-            Y = Ycyc[:, k * p : (k + 1) * p]
-            Yrec[k] = Y
-            if k not in stalled_resid:
-                continue  # lifted above; its residual follows with its run
-            # Off-frame update: the residual formula does not apply, so
-            # measure directly, and accept the step only if it helps (a
-            # stalled shift can sit on an indefinite shifted operator,
-            # where a Galerkin step may grow the residual without bound).
-            W = Vb @ Y
-            R = stalled_resid[k] - (A.apply(W) + sigmas[k] * W)
-            res = float(np.linalg.norm(R))
-            if res < np.linalg.norm(stalled_resid[k]):
-                state.X[k] += W
-                stalled_resid[k] = R
             else:
-                res = float(np.linalg.norm(stalled_resid[k]))
-            done.append((k, res))
+                Yrec[k] = Ycyc[:, k * p : (k + 1) * p]
         # Each run takes its next residual coordinates beta = -tau Y[-2p:] and
         # their norms ||next_seed beta||_F together.
         for run in runs:
@@ -298,14 +272,10 @@ def solve_shifted(problem, observer=None):
             beta = -proj.tau @ Ycyc[-2 * p :, cols]
             res = np.linalg.norm((R_next @ beta).reshape(p, len(run), p), axis=(0, 2))
             state.beta0[run] = beta.reshape(p, len(run), p).swapaxes(0, 1)
-            done += zip(run.tolist(), res.tolist())
-
-        for k, res in done:
-            state.residual_history[k].append(res)
-            Rrec[k] = res
-            if res < problem.eps:
-                state.converged[k] = True
-                stalled_resid.pop(k, None)
+            state.converged[run] = res < problem.eps
+            for k, r in zip(run.tolist(), res.tolist()):
+                state.residual_history[k].append(r)
+                Rrec[k] = r
 
         state.restart_count += 1
         if observer is not None:
@@ -316,6 +286,7 @@ def solve_shifted(problem, observer=None):
         del proj, Vb, Ycyc, Yrec
         seed = next_seed.copy(order="F")
         del basis, next_seed
+    return _outcome(problem, state, frozen)
 
 
 def _in_halves(helper, work, first, second):
@@ -326,14 +297,16 @@ def _in_halves(helper, work, first, second):
     return done, later.result() if later else work(second)
 
 
-def _invariant_subspace_solve(problem, state, basis, error):
+def _invariant_subspace_solve(problem, state, frozen, basis, error):
     """Solve every shift exactly on ``basis`` (the blocks before a breakdown, or
-    the seed's block) if they span an A-invariant subspace; else raise ``error``."""
+    the seed's block) if they span an A-invariant subspace, else raise ``error``;
+    then end as :func:`_outcome` says."""
     T = invariant_projection(problem.A, basis, error)
-    for k in np.where(~state.converged)[0]:
+    # A frozen shift's beta0 is in the frame of an earlier seed, not this basis's.
+    for k in np.where(~(state.converged | frozen))[0]:
         # Commit only updates that actually converge: the projection here is
-        # exact, so anything else (sigma on the invariant block's spectrum,
-        # stalled off-frame shifts) must not pollute X.
+        # exact, so anything else (sigma on the invariant block's spectrum)
+        # must not pollute X.
         rhs = np.eye(len(T), basis.p) @ basis.gamma11 @ state.beta0[k]
         try:
             Y = np.linalg.solve(T + problem.shifts[k] * np.eye(len(T)), rhs)
@@ -346,5 +319,15 @@ def _invariant_subspace_solve(problem, state, basis, error):
             state.residual_history[k].append(res)
             state.converged[k] = True
     state.restart_count += 1
-    if not state.converged.all():
-        raise NotConverged(problem.shifts[~state.converged], state)
+    return _outcome(problem, state, frozen)
+
+
+def _outcome(problem, state, frozen):
+    """``state`` if every shift converged; else raise :class:`ReducedSystemSingular`
+    naming the first frozen shift, if any, or :class:`NotConverged`."""
+    unconverged = problem.shifts[~state.converged]
+    if frozen.any():
+        raise ReducedSystemSingular(problem.shifts[frozen][0], unconverged, state)
+    if len(unconverged):
+        raise NotConverged(unconverged, state)
+    return state

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from ebhess import GallerySpec, ShiftedProblem, gallery, residual_direct, solve_shifted
 from ebhess.cli import build_parser, main
 from ebhess import cli
+from ebhess.errors import ReducedSystemSingular
 
 
 def _read_csv(path):
@@ -148,6 +149,28 @@ class TestShiftedCommand:
             direct = residual_direct(A, C, s, state.X[i])
             assert abs(direct - state.residual_history[i][-1]) <= 1e-9 * normC
         assert float(row[7]) <= max(h[-1] for h in state.residual_history) + 1e-9 * normC
+
+    def test_frozen_shift_row_names_its_error(self, tmp_path, monkeypatch):
+        # A state-carrying NotConverged subclass keeps the row's restarts,
+        # residual and audit columns, and its own name as the status.
+        A = gallery(GallerySpec("convdiff_l1", size=8))
+        C = np.random.default_rng(0).random((64, 2))
+        sigmas = np.linspace(0, 5, 25)
+        state = solve_shifted(ShiftedProblem(A, C, sigmas, eps=2e-8, m=3))
+
+        def frozen(problem):
+            raise ReducedSystemSingular(sigmas[3], [sigmas[3]], state)
+
+        monkeypatch.setattr(cli, "solve_shifted", frozen)
+        out = str(tmp_path / "f.csv")
+        assert main(["shifted", "--gallery", "convdiff_l1", "--grid", "8", "--p", "2",
+                     "--shifts", "0:5:25", "--m", "3", "--seed", "0", "--repeat", "1",
+                     "--out", out]) == 0
+        _, _, (row,) = _read_csv(out)
+        assert row[-1] == "ReducedSystemSingular"
+        assert int(row[3]) == state.restart_count
+        assert float(row[6]) == pytest.approx(max(h[-1] for h in state.residual_history))
+        assert float(row[7]) <= 2e-8
 
     def test_zero_shifts_bad_config(self, tmp_path, capsys):
         rc = main(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from ebhess import FactorizedOperator, eba_run, ebha_run
+from ebhess import FactorizedOperator, FunctionSpec, eba_run, ebha_run, mf_eba
 from ebhess.errors import Breakdown, DimensionMismatch
 from _util import random_block, random_sparse_operator, spread_spectrum_operator
 
@@ -74,3 +74,8 @@ class TestEbaRun:
         A = random_sparse_operator(10, 7)
         with pytest.raises(DimensionMismatch):
             eba_run(A, random_block(10, 2, 7), 3)  # (2m+1)p = 14 > 10
+        for m in (0, 2.5, 2.0):  # not a whole number of steps >= 1
+            with pytest.raises(DimensionMismatch, match="steps"):
+                eba_run(A, random_block(10, 1, 7), m)
+            with pytest.raises(DimensionMismatch, match="steps"):
+                mf_eba(A, random_block(10, 1, 7), m, FunctionSpec.exp())

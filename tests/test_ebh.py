@@ -7,11 +7,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from ebhess import (
     FactorizedOperator,
+    FunctionSpec,
     build_S,
     build_T,
     build_T_direct,
     ebha_run,
     left_apply,
+    mf_ebh,
     pivot_block_solve,
 )
 from ebhess.dense import _plu_in_place
@@ -187,6 +189,11 @@ class TestEbhaRun:
             ebha_run(A, random_block(8, 1, 0), 2)  # row count mismatch
         with pytest.raises(DimensionMismatch):
             ebha_run(A, np.zeros((10, 0)), 2)  # empty block
+        for m in (0, 2.5, 2.0):  # not a whole number of steps >= 1
+            with pytest.raises(DimensionMismatch, match="steps"):
+                ebha_run(A, random_block(10, 1, 0), m)
+            with pytest.raises(DimensionMismatch, match="steps"):
+                mf_ebh(A, random_block(10, 1, 0), m, FunctionSpec.exp())
 
     @pytest.mark.parametrize("n,p,m", [(10, 2, 2), (7, 1, 3), (15, 3, 2)])
     def test_size_rule_boundary(self, n, p, m):

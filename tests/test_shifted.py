@@ -129,44 +129,37 @@ class TestSolveShifted:
         assert exc.value.state.restart_count == 2
         assert len(exc.value.unconverged) == 1
 
-    def test_singular_reduced_system_retries_off_frame(self):
+    def test_singular_reduced_system_freezes_the_shift(self):
         # Choose a shift that lands exactly on a Ritz value of the first
-        # cycle's projected matrix: the first cycle must skip it, later
-        # cycles retry it through the explicit-residual path.  Such a shift
-        # makes A + sigma*I indefinite here, so convergence is not owed; the
-        # well-posed companion shift must converge, the stalled shift must
-        # never report a growing residual, and a cap hit must name it.
+        # cycle's projected matrix: its reduced system is singular there, so
+        # the shift is frozen with X = 0 and never solved again.  The
+        # well-posed companion shift must converge, and the solve ends once
+        # it has, well before the cap, naming the frozen shift.
         A = random_sparse_operator(70, 6)
         C = random_block(70, 1, 6)
         basis = ebha_run(A, C, 2)
         T = build_T(basis).T
         ritz = np.linalg.eigvals(T)
         sigma = -float(ritz[np.abs(ritz.imag) < 1e-12].real[0])
-        try:
-            state = solve_shifted(
-                ShiftedProblem(A, C, [sigma, 0.1], m=2, eps=1e-9, max_restarts=15)
-            )
-            stalled_converged = True
-        except NotConverged as exc:
-            state = exc.state
-            stalled_converged = False
-            assert list(exc.unconverged) == [sigma]
-        assert state.residual_history[0][0] == np.inf  # skipped the first cycle
-        later = [r for r in state.residual_history[0][1:] if np.isfinite(r)]
-        assert later, "off-frame retry never produced a residual"
-        assert all(b <= a * (1 + 1e-12) for a, b in zip(later, later[1:]))
+        with pytest.raises(ReducedSystemSingular) as exc:
+            solve_shifted(ShiftedProblem(A, C, [sigma, 0.1], m=2, eps=1e-9, max_restarts=15))
+        assert isinstance(exc.value, NotConverged)
+        assert exc.value.sigma == sigma
+        assert exc.value.unconverged == [sigma]
+        state = exc.value.state
+        assert state.residual_history[0] == [np.inf]
+        assert not state.X[0].any()
         # the companion shift is unaffected
         assert state.converged[1]
         assert residual_direct(A, C, 0.1, state.X[1]) <= 5e-9
-        if stalled_converged:
-            assert residual_direct(A, C, sigma, state.X[0]) <= 1e-8
+        assert state.restart_count < 15
 
     def test_chunked_lift_matches_per_shift_solves(self):
-        # Eleven shifts with shift 4 singular in cycle 1: the in-frame shifts
-        # solved in cycle 1 form the runs {0..3} and {5..10}, each lifted
-        # with one product.  In cycle 2 shift 4 is off-frame and sits between
-        # the runs again.  X after both cycles must equal the per-shift
-        # oracle Vb1 Y1 + Vb2 Y2.
+        # Eleven shifts with shift 4 singular in cycle 1: the shifts solved
+        # in cycle 1 form the runs {0..3} and {5..10}, each lifted with one
+        # product.  In cycle 2 shift 4 is frozen and sits between the runs
+        # again.  X after both cycles must equal the per-shift oracle
+        # Vb1 Y1 + Vb2 Y2, and X[4] stay zero.
         n, p, m = 80, 2, 2
         A = random_sparse_operator(n, 11)
         C = random_block(n, p, 11)
@@ -190,8 +183,8 @@ class TestSolveShifted:
         assert len(records) == 2
         assert state.X.shape == (K, n, p)
         assert all(state.X[k].flags.f_contiguous for k in range(K))
-        assert state.residual_history[4][0] == np.inf
-        assert 4 not in records[0].Y
+        assert state.residual_history[4] == [np.inf]
+        assert 4 not in records[0].Y and 4 not in records[1].Y
         assert not first["X"][4].any()
         X = np.zeros((K, n, p))
         beta = {k: np.eye(p) for k in range(K)}
@@ -199,31 +192,24 @@ class TestSolveShifted:
             Vb = rec.basis.matrix(2 * m)
             next_seed = rec.basis.blocks[2 * m]
             for k, sigma in enumerate(sigmas):
-                if k == 4 and cycle == 0:
+                if k == 4:
                     continue
-                if k == 4:  # off-frame: residual C, reduced explicitly
-                    rhs = left_apply(rec.basis, C, 2 * m)
-                else:
-                    rhs = np.zeros((N, p))
-                    rhs[:p] = rec.basis.gamma11 @ beta[k]
+                rhs = np.zeros((N, p))
+                rhs[:p] = rec.basis.gamma11 @ beta[k]
                 Y = np.linalg.solve(rec.projected.T + sigma * np.eye(N), rhs)
                 assert np.linalg.norm(rec.Y[k] - Y) <= 1e-12 * np.linalg.norm(Y)
                 W = Vb @ Y
-                if k == 4:
-                    # the off-frame step is kept only if it lowers the residual
-                    want = np.linalg.norm(C - (A.apply(W) + sigma * W))
-                    if want >= np.linalg.norm(C):
-                        W, want = 0.0 * W, np.linalg.norm(C)
-                else:
-                    beta[k] = -rec.projected.tau @ Y[-2 * p :]
-                    want = np.linalg.norm(next_seed @ beta[k])
-                    if cycle == 0:
-                        assert np.linalg.norm(first["X"][k] - W) <= 1e-12 * np.linalg.norm(W)
+                beta[k] = -rec.projected.tau @ Y[-2 * p :]
+                want = np.linalg.norm(next_seed @ beta[k])
+                if cycle == 0:
+                    assert np.linalg.norm(first["X"][k] - W) <= 1e-12 * np.linalg.norm(W)
                 X[k] += W
                 got = state.residual_history[k][cycle]
                 assert abs(got - want) <= 1e-12 * want
+        assert not state.X[4].any()
         for k in range(K):
-            assert np.linalg.norm(state.X[k] - X[k]) <= 1e-12 * np.linalg.norm(X[k])
+            if k != 4:
+                assert np.linalg.norm(state.X[k] - X[k]) <= 1e-12 * np.linalg.norm(X[k])
         # cycle 1's observer Y are not overwritten by cycle 2
         for k, Y in first["Y"].items():
             assert_array_equal(records[0].Y[k], Y)
@@ -280,9 +266,8 @@ class TestTwoThreadReducedSolves:
     def _ritz_problem(max_restarts=3):
         # N = 2mp = 70 is above the cutoff.  Shift 6, in the helper's half
         # (shifts 4..7 of 8), sits on a Ritz value of cycle 1 (pivot ratio
-        # 2.6e-16, well under the rule's 70 eps), so it is skipped there and
-        # retried off-frame in later cycles; eps = 1e-300 keeps every shift
-        # active, so every cycle is split.
+        # 2.6e-16, well under the rule's 70 eps), so it is frozen there;
+        # eps = 1e-300 keeps every other shift active, so every cycle is split.
         A = gallery(GallerySpec("convdiff_l2", 16))
         C = random_block(A.n, 5, 6)
         ritz = np.linalg.eigvals(build_T(ebha_run(A, C, 7)).T)
@@ -303,8 +288,7 @@ class TestTwoThreadReducedSolves:
         serial, serial_Y = _run_with_records(problem)
 
         assert split.restart_count == serial.restart_count == 3
-        assert split.residual_history[6][0] == np.inf
-        assert np.isfinite(split.residual_history[6][1:]).all()
+        assert split.residual_history[6] == [np.inf]
         assert_array_equal(split.X, serial.X)
         assert_array_equal(split.beta0, serial.beta0)
         assert_array_equal(split.converged, serial.converged)
@@ -335,9 +319,9 @@ class TestTwoThreadReducedSolves:
         assert state.converged.all() and started == []
 
     def test_both_threads_lift(self, monkeypatch):
-        # Each thread adds the lift of every run of in-frame shifts into its
+        # Each thread adds the lift of every run of solved shifts into its
         # half of X's rows (n = 256, cut at row 128).  The runs are {0..5}
-        # and {7}, as shift 6 is singular in cycle 1 and off-frame after, and
+        # and {7}, as shift 6 is singular in cycle 1 and frozen after, and
         # {1..5} and {7} in cycle 3, as shift 0 converged in cycle 2.
         # Run alone, the same GEMMs run on the calling thread.
         gemm, calls, cuts = shifted._gemm, [], []
@@ -400,8 +384,8 @@ class TestTwoThreadReducedSolves:
 
 class TestSolveShiftedExits:
     def test_shift_singular_in_every_cycle_is_named(self):
-        # As in test_singular_reduced_system_retries_off_frame, but one cycle:
-        # the shift never gets a solvable reduced system before the cap.
+        # As in test_singular_reduced_system_freezes_the_shift, but alone and
+        # with a cap of one cycle: the frozen shift is named all the same.
         A = random_sparse_operator(70, 6)
         C = random_block(70, 1, 6)
         ritz = np.linalg.eigvals(build_T(ebha_run(A, C, 2)).T)
@@ -473,6 +457,12 @@ class TestSolveShiftedExits:
             ShiftedProblem(A, C, [0.0], m=2, eps=-1.0)
         with pytest.raises(BadConfig, match="shift"):
             ShiftedProblem(A, C, [], m=2)
+        for m in (0, 2.5, 2.0):
+            with pytest.raises(BadConfig, match="m must"):
+                ShiftedProblem(A, C, [0.0], m=m)
+        for max_restarts in (0, -1, 1.5):
+            with pytest.raises(BadConfig, match="max_restarts"):
+                ShiftedProblem(A, C, [0.0], m=2, max_restarts=max_restarts)
 
 
 class TestResidualDirect:
