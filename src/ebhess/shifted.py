@@ -11,22 +11,22 @@ ends with ``ReducedSystemSingular`` once no other shift is left to solve.
 The per-shift work is only a pivoted LU (LAPACK getrf/getrs, called
 directly; ``dense.singular`` judges its pivots) of the small shifted matrix.
 Each cycle solves the reduced systems in place, side by side in one matrix,
-and every run of consecutive shifts is lifted back to X with one in-place
-GEMM against the n-row basis per half of X's rows, so the basis is read
-once per run, not once per shift.
+and every run of consecutive solved shifts is lifted back to X with one
+in-place GEMM against the n-row basis, so the basis is read once per run,
+not once per shift.
 
-A cycle's reduced systems are independent, the lift of each half of X's
-rows is too, and getrf/getrs and the lift's GEMM (``dense._gemm``: scipy's
-dgemm called through ctypes, as scipy's f2py ``gemm`` holds the GIL) release
-the GIL.  So when 2mp >= ``_SPLIT_MIN_N`` and two or more shifts are
-active, one helper thread, started and joined within the cycle, factors and
-solves the second half of the shifts and then lifts the second half of X's
-rows, each while the caller does the first half; otherwise the caller does
-both halves in turn.  The helper only reads the projection and the basis,
-writes its own buffer, its shifts' columns of the solutions and its rows of
-X, and calls no operator, no observer and no name that
-``perfbench/tracing.py`` patches; everything else runs on the calling
-thread in shift order, so X has the same bits split or not.
+A cycle's shifts are independent, and getrf/getrs and the lift's GEMM
+(``dense._gemm``: scipy's dgemm called through ctypes, as scipy's f2py
+``gemm`` holds the GIL) release the GIL.  So each cycle cuts its active
+shifts in two halves, and the thread that solves a half also lifts it: when
+2mp >= ``_SPLIT_MIN_N`` and two or more shifts are active, one helper
+thread, started and joined within the cycle, takes the second half while
+the caller does the first; otherwise the caller does both halves in turn.
+The helper only reads the projection and the basis, writes its own buffer
+and its shifts' columns of the solutions and of X, and calls no operator,
+no observer and no name that ``perfbench/tracing.py`` patches; everything
+else runs on the calling thread in shift order, so X has the same bits
+split or not.
 """
 
 import contextlib
@@ -132,13 +132,13 @@ def solve_shifted(problem, observer=None):
 
     Each reduced system is factored with partial pivoting by LAPACK getrf in
     a reused buffer and solved by getrs in place, in its own columns of a
-    fresh (2mp, K*p) matrix per cycle.  Each run of consecutive shifts
-    solved in the cycle then updates its columns of X with one GEMM
-    against the basis per half of X's rows, and its residual coordinates and
-    residual norms with one product against ``tau`` and the R factor of the
-    next seed.  When 2mp >= 64 and two or more shifts are active, one helper
-    thread solves the second half of the shifts and lifts the second half of
-    the rows while the caller does the first halves; it is joined before the
+    fresh (2mp, K*p) matrix per cycle.  The active shifts are cut in two
+    halves, and within each half every run of consecutive solved shifts
+    updates its columns of X with one GEMM against the basis.  Each run's
+    residual coordinates and residual norms then come from one product
+    against ``tau`` and the R factor of the next seed.  When 2mp >= 64 and
+    two or more shifts are active, one helper thread solves and lifts the
+    second half while the caller does the first; it is joined before the
     cycle goes on, so at most one helper runs per call and none outlives it.
     The helper calls neither the operator nor the observer, and X has the
     same bits as on one thread.
@@ -151,8 +151,9 @@ def solve_shifted(problem, observer=None):
     residual history, and is never solved again.  The cycles go on while an
     unconverged shift is not frozen and the restart cap is not hit.
     ``observer``, when given, is called with a :class:`CycleRecord` after
-    every cycle.  A breakdown on an A-invariant span finishes exactly there;
-    others re-raise.
+    every cycle.  A breakdown on an A-invariant span finishes exactly there,
+    where a shift with a singular projection is frozen the same way; others
+    re-raise.
 
     Raises :class:`ReducedSystemSingular`, naming the first frozen shift, if
     any shift was frozen, else :class:`NotConverged` if the restart cap is hit
@@ -214,48 +215,37 @@ def solve_shifted(problem, observer=None):
         Ycyc[p:] = 0.0  # every right-hand side is zero below row p
 
         def solve(ks):
-            # Solve each shift's reduced system in its columns of Ycyc; return
-            # whether each was singular (then left unsolved).  May run on the
-            # helper thread, so it writes nothing but its own buffer and columns.
+            # Solve each shift's reduced system in its columns of Ycyc, then add
+            # the lift of each maximal run of consecutive solved shifts into
+            # those columns of X with one GEMM over all n rows.  Returns whether
+            # each shift was singular (then left unsolved) and the runs.  May
+            # run on the helper thread, so it writes nothing but its own buffer
+            # and its shifts' columns of Ycyc and X.
             shifted_T = np.empty((N, N), order="F")
             diagonal = shifted_T.ravel(order="F")[:: N + 1]
             unsolved = []
             for k in ks:
                 shifted_T[...] = T
                 diagonal += sigmas[k]
-                lu, piv, info = getrf(shifted_T, overwrite_a=True)
-                unsolved.append(info > 0 or singular(np.diag(lu)))
-                if unsolved[-1]:
-                    continue
                 Y = Ycyc[:, k * p : (k + 1) * p]
                 Y[:p] = g11 @ state.beta0[k]
-                getrs(lu, piv, Y, overwrite_b=1)
-            return unsolved
-
-        def lift(rows):
-            # One maximal run of consecutive solved shifts is one contiguous
-            # column block of both Ycyc and X: add its lift into those rows of
-            # X with one GEMM.  May run on the helper thread, so it writes
-            # nothing but these rows of X.
+                unsolved.append(_factored_solve(getrf, getrs, shifted_T, Y))
+            solved = ks[np.logical_not(unsolved)]
+            runs = np.split(solved, np.flatnonzero(np.diff(solved) != 1) + 1) if len(solved) else []
             for run in runs:
                 cols = slice(run[0] * p, (run[-1] + 1) * p)
-                _gemm(Vb[rows], Ycyc[:, cols], Xmat[rows, cols], 1.0)
+                _gemm(Vb, Ycyc[:, cols], Xmat[:, cols], 1.0)
+            return unsolved, runs
 
-        # The solves are split into two halves of the shifts and the lift into
-        # two halves of X's rows, whether or not a helper thread takes the
-        # second halves, so X's GEMMs are the same either way.  Cutting rows,
-        # not shifts, keeps every run in one GEMM per half and reads the basis
-        # once, which matters on one thread at large n.  The cut is a multiple
-        # of 64 rows, where OpenBLAS's row blocks start anyway: with scipy's
-        # OpenBLAS on one thread the halves give the bits of one GEMM.
-        half, cut = (len(active) + 1) // 2, n // 128 * 64
+        # The shifts are cut in two halves whether or not a helper thread takes
+        # the second, so X's GEMMs, and with them its bits, are the same either way.
+        half = (len(active) + 1) // 2
         split = N >= _SPLIT_MIN_N and len(active) >= 2
         with ThreadPoolExecutor(max_workers=1) if split else contextlib.nullcontext() as helper:
-            first, second = _in_halves(helper, solve, active[:half], active[half:])
-            unsolved = first + second
-            lifted = active[np.logical_not(unsolved)]
-            runs = np.split(lifted, np.flatnonzero(np.diff(lifted) != 1) + 1) if len(lifted) else []
-            _in_halves(helper, lift, np.s_[:cut], np.s_[cut:])
+            later = helper.submit(solve, active[half:]) if helper else None
+            first = solve(active[:half])
+            second = later.result() if later else solve(active[half:])
+        unsolved, runs = first[0] + second[0], first[1] + second[1]
 
         Yrec, Rrec = {}, {}
         for k, is_unsolved in zip(active, unsolved):
@@ -289,29 +279,35 @@ def solve_shifted(problem, observer=None):
     return _outcome(problem, state, frozen)
 
 
-def _in_halves(helper, work, first, second):
-    """``(work(first), work(second))``; the second runs on the ``helper``
-    executor, next to the first, when one is given."""
-    later = helper.submit(work, second) if helper else None
-    done = work(first)
-    return done, later.result() if later else work(second)
+def _factored_solve(getrf, getrs, shifted, Y):
+    """Factor the Fortran-ordered ``shifted`` in place by LAPACK getrf and, unless
+    :func:`dense.singular` holds for its pivots, overwrite the Fortran-ordered
+    right-hand side ``Y`` with the solution by getrs.  Returns whether it was singular."""
+    lu, piv, info = getrf(shifted, overwrite_a=True)
+    if info > 0 or singular(np.diag(lu)):
+        return True
+    getrs(lu, piv, Y, overwrite_b=1)
+    return False
 
 
 def _invariant_subspace_solve(problem, state, frozen, basis, error):
     """Solve every shift exactly on ``basis`` (the blocks before a breakdown, or
     the seed's block) if they span an A-invariant subspace, else raise ``error``;
-    then end as :func:`_outcome` says."""
+    a shift whose shifted projection is singular is frozen.  Then end as
+    :func:`_outcome` says."""
     T = invariant_projection(problem.A, basis, error)
+    getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (T,))
     # A frozen shift's beta0 is in the frame of an earlier seed, not this basis's.
     for k in np.where(~(state.converged | frozen))[0]:
-        # Commit only updates that actually converge: the projection here is
-        # exact, so anything else (sigma on the invariant block's spectrum)
-        # must not pollute X.
-        rhs = np.eye(len(T), basis.p) @ basis.gamma11 @ state.beta0[k]
-        try:
-            Y = np.linalg.solve(T + problem.shifts[k] * np.eye(len(T)), rhs)
-        except np.linalg.LinAlgError:
+        Y = np.zeros((len(T), basis.p), order="F")
+        Y[: basis.p] = basis.gamma11 @ state.beta0[k]
+        shifted = np.asfortranarray(T + problem.shifts[k] * np.eye(len(T)))
+        if _factored_solve(getrf, getrs, shifted, Y):
+            frozen[k] = True
+            state.residual_history[k].append(np.inf)
             continue
+        # Commit only updates that actually converge: the projection here is
+        # exact, so anything else must not pollute X.
         X_trial = state.X[k] + basis.store @ Y
         res = residual_direct(problem.A, problem.C, problem.shifts[k], X_trial)
         if np.isfinite(res) and res < problem.eps:

@@ -319,11 +319,12 @@ class TestTwoThreadReducedSolves:
         assert state.converged.all() and started == []
 
     def test_both_threads_lift(self, monkeypatch):
-        # Each thread adds the lift of every run of solved shifts into its
-        # half of X's rows (n = 256, cut at row 128).  The runs are {0..5}
-        # and {7}, as shift 6 is singular in cycle 1 and frozen after, and
-        # {1..5} and {7} in cycle 3, as shift 0 converged in cycle 2.
-        # Run alone, the same GEMMs run on the calling thread.
+        # Each thread adds the lift of every run of solved shifts in its half
+        # of the active shifts into those columns of X, over all n = 256 rows.
+        # The caller's half is shifts 0..3 in cycles 1 and 2 and 1..3 in
+        # cycle 3, as shift 0 converged in cycle 2; the helper's is 4..7,
+        # with runs {4, 5} and {7}, as shift 6 is singular in cycle 1 and
+        # frozen after.  Run alone, the same GEMMs run on the calling thread.
         gemm, calls, cuts = shifted._gemm, [], []
 
         def recording_gemm(A, B, C, beta):
@@ -332,7 +333,8 @@ class TestTwoThreadReducedSolves:
 
         monkeypatch.setattr(shifted, "_gemm", recording_gemm)
         caller = threading.current_thread()
-        runs = [[(128, 30), (128, 5)]] * 2 + [[(128, 25), (128, 5)]]
+        helper_runs = [(256, 10), (256, 5)]
+        caller_runs = [[(256, 20)]] * 2 + [[(256, 15)]]
         for split in (True, False):
             if not split:
                 monkeypatch.setattr(shifted, "_SPLIT_MIN_N", 10**9)
@@ -341,15 +343,15 @@ class TestTwoThreadReducedSolves:
             with pytest.raises(NotConverged):
                 solve_shifted(self._ritz_problem(), observer=lambda rec: cuts.append(len(calls)))
             assert len(cuts) == 3
-            for lo, hi, want in zip([0, *cuts], cuts, runs):
+            for lo, hi, want in zip([0, *cuts], cuts, caller_runs):
                 cycle = calls[lo:hi]
                 mine = [shape for thread, shape in cycle if thread is caller]
                 other = [shape for thread, shape in cycle if thread is not caller]
                 if split:
-                    assert mine == other == want
+                    assert mine == want and other == helper_runs
                     assert len({thread for thread, _ in cycle}) == 2
                 else:
-                    assert mine == want + want and other == []
+                    assert mine == want + helper_runs and other == []
 
     def test_helper_error_reaches_the_caller(self, monkeypatch):
         # getrf fails on the helper thread only; the caller sees the error,
@@ -403,6 +405,19 @@ class TestSolveShiftedExits:
         assert state.converged.all() and state.restart_count == 1
         for k, sigma in enumerate(state.shifts):
             assert residual_direct(A, C, sigma, state.X[k]) == 0.0
+
+    def test_singular_shift_on_invariant_seed_is_frozen(self):
+        # As above, but T + sigma I is exactly singular on the invariant block
+        # for sigma = -1: that shift is frozen and named, the other is solved.
+        A = FactorizedOperator.from_dense(np.diag(np.arange(1.0, 41.0)))
+        C = np.eye(40)[:, :2]
+        with pytest.raises(ReducedSystemSingular) as exc:
+            solve_shifted(ShiftedProblem(A, C, [-1.0, 0.5], m=3, eps=1e-12))
+        state = exc.value.state
+        assert exc.value.sigma == -1.0
+        assert state.residual_history[0] == [np.inf] and state.restart_count == 1
+        assert_array_equal(state.converged, [False, True])
+        assert residual_direct(A, C, 0.5, state.X[1]) == 0.0
 
     def test_breakdown_on_non_invariant_seed_is_reraised(self):
         # A^{-1}e3 stays in the span of [e1 + e2, e3], so block 2 breaks down
