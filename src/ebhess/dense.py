@@ -1,8 +1,12 @@
-"""Dense kernels: two-output pivoted LU, pivot-row solves, the singular-LU rule and a GEMM.
+"""Dense kernels: two-output pivoted LU, pivot-row solves, the singular-LU rule,
+a GEMM and the shifted solver's per-shift dgesv.
 
 Blocks are plain float64 ndarrays.  The two-output pivoted LU returns the
 *permuted* unit lower trapezoidal factor together with the rows that carry
 the unit entries, which is the primitive the basis recursion is built on.
+The GEMM and the dgesv loop call scipy's own BLAS and LAPACK through ctypes,
+so they run with the GIL released where scipy's f2py wrappers hold it; they
+check their operands in Python first, as ctypes passes bare pointers.
 """
 
 import ctypes
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import cython_blas
+from scipy.linalg import cython_blas, cython_lapack
 
 from .errors import DimensionMismatch, RankDeficient, SingularPivotBlock
 
@@ -24,18 +28,19 @@ BREAKDOWN_TOL = 1e-13
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
-def _capsule_dgemm():
-    # scipy's own dgemm, the routine ``sla.get_blas_funcs("gemm")`` reaches,
-    # from its Cython capsule.  Called through ctypes it runs with the GIL
-    # released, which scipy's f2py wrapper does not do.
-    capsule, api = cython_blas.__pyx_capi__["dgemm"], ctypes.pythonapi
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+def _capsule_routine(module, name, n_args):
+    # scipy's own BLAS or LAPACK routine ``name``, the one scipy's f2py wrappers
+    # reach, from its Cython capsule in ``module``.  Called through ctypes it
+    # runs with the GIL released, which those f2py wrappers do not do.
+    capsule, api = module.__pyx_capi__[name], ctypes.pythonapi
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))(capsule, name(capsule))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 13)(address)
+        ("PyCapsule_GetPointer", api))(capsule, capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
 
 
-_DGEMM = _capsule_dgemm()
+_DGEMM = _capsule_routine(cython_blas, "dgemm", 13)
+_DGESV = _capsule_routine(cython_lapack, "dgesv", 8)
 
 
 @dataclass
@@ -110,21 +115,26 @@ def _plu_in_place(lu):
     return U, np.array([perm[k] for k in r]), colmax
 
 
+def _leading_dim(M, routine):
+    """The column stride, in elements, of the float64 matrix ``M`` with unit row
+    stride (Fortran layout, which column slices keep), as BLAS and LAPACK take it;
+    anything else raises :class:`DimensionMismatch` naming ``routine``."""
+    ok = M.dtype == np.float64 and M.ndim == 2 and M.strides[0] == 8
+    if ok:
+        ld = M.strides[1] // 8 if M.shape[1] > 1 else max(M.shape[0], 1)
+        ok = M.strides[1] % 8 == 0 and max(M.shape[0], 1) <= ld < 2**31
+    if not ok:
+        raise DimensionMismatch(f"{routine}: operands must be float64 matrices with unit row stride")
+    return ld
+
+
 def _gemm(A, B, C, beta):
     """``C = A @ B + beta * C`` in place by BLAS dgemm, with the GIL released.
 
     Each operand must be a float64 matrix with unit row stride (Fortran
     layout, which column slices keep), and C writable and apart from A and B;
     anything else raises :class:`DimensionMismatch` before BLAS is called."""
-    lds = []
-    for M in (A, B, C):
-        ok = M.dtype == np.float64 and M.ndim == 2 and M.strides[0] == 8
-        if ok:
-            ld = M.strides[1] // 8 if M.shape[1] > 1 else max(M.shape[0], 1)
-            ok = M.strides[1] % 8 == 0 and max(M.shape[0], 1) <= ld < 2**31
-        if not ok:
-            raise DimensionMismatch("gemm: operands must be float64 matrices with unit row stride")
-        lds.append(ld)
+    lds = [_leading_dim(M, "gemm") for M in (A, B, C)]
     if B.shape[0] != A.shape[1] or C.shape != (A.shape[0], B.shape[1]) or not C.flags.writeable \
             or np.may_share_memory(C, A) or np.may_share_memory(C, B):
         raise DimensionMismatch(f"gemm: cannot write {A.shape} @ {B.shape} into {C.shape}")
@@ -134,12 +144,50 @@ def _gemm(A, B, C, beta):
            beta, C.ctypes.data, ldc)
 
 
+def _shifted_gesv(T, shifts, ks, Y, p):
+    """Solve ``(T + shifts[i] I) Z = Y_k`` in place for each ``k = ks[i]``, where
+    ``Y_k = Y[:, k*p:(k+1)*p]``, by one LAPACK dgesv per shift with the GIL
+    released; returns the U diagonal of each shift's LU, one row per shift.
+
+    ``T`` must be a square Fortran-ordered float64 matrix, and ``Y`` a writable
+    float64 matrix with unit row stride, T's row count and every ``Y_k`` among
+    its columns, apart from T; anything else raises :class:`DimensionMismatch`
+    before LAPACK is called.  A shift is solved whether or not :func:`singular`
+    holds for its row, except that dgesv leaves ``Y_k`` as it was on an exact
+    zero pivot; either way its ``Y_k`` is no solution, and callers discard it."""
+    ks = np.asarray(ks)
+    N = T.shape[0] if T.ndim == 2 else -1
+    if not (T.dtype == np.float64 and T.shape == (N, N) and T.flags.f_contiguous):
+        raise DimensionMismatch("gesv: T must be a square Fortran-ordered float64 matrix")
+    ldy = _leading_dim(Y, "gesv")
+    if Y.shape[0] != N or not Y.flags.writeable or np.may_share_memory(Y, T) \
+            or ks.ndim != 1 or len(shifts) != len(ks) or p < 1 \
+            or (len(ks) and (ks.min() < 0 or (ks.max() + 1) * p > Y.shape[1])):
+        raise DimensionMismatch(f"gesv: cannot solve shifts {ks} of {T.shape} into {Y.shape}")
+    shifted = np.empty((N, N), order="F")
+    diagonal = shifted.ravel(order="F")[:: N + 1]
+    pivots = np.empty((len(ks), N))
+    ipiv = np.empty(N, dtype=np.int32)
+    n, nrhs, lda, ldb, info = (ctypes.byref(ctypes.c_int(v)) for v in (N, p, max(N, 1), ldy, 0))
+    a, piv, y, col = shifted.ctypes.data, ipiv.ctypes.data, Y.ctypes.data, p * Y.strides[1]
+    for i, (k, sigma) in enumerate(zip(ks.tolist(), np.asarray(shifts, dtype=float).tolist())):
+        shifted[...] = T
+        diagonal += sigma
+        _DGESV(n, nrhs, a, lda, piv, y + k * col, ldb, info)
+        pivots[i] = diagonal
+    return pivots
+
+
 def singular(pivots):
     """The package's one test of "singular to working precision" for an LU with
     U diagonal ``pivots``: min|d| <= eps * N * max(max|d|, tiny) over the N
-    pivots.  An empty diagonal or a NaN pivot counts as singular too."""
+    pivots.  An empty diagonal or a NaN pivot counts as singular too.  For a
+    2-D ``pivots`` the test is made on each row, with one result per row."""
     d = np.abs(pivots)
-    return d.size == 0 or not d.min() > _EPS * max(d.max(), _TINY) * d.size
+    N = d.shape[-1]
+    if N == 0:
+        return True if d.ndim == 1 else np.ones(d.shape[:-1], dtype=bool)
+    return ~(d.min(axis=-1) > _EPS * np.maximum(d.max(axis=-1), _TINY) * N)
 
 
 def checked_lu(M, error):

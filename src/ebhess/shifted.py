@@ -8,20 +8,21 @@ A shift whose reduced system is singular (sigma on a Ritz value) has no
 residual in that block, so it is frozen and not solved again, and the solve
 ends with ``ReducedSystemSingular`` once no other shift is left to solve.
 
-The per-shift work is only a pivoted LU (LAPACK getrf/getrs, called
-directly; ``dense.singular`` judges its pivots) of the small shifted matrix.
-Each cycle solves the reduced systems in place, side by side in one matrix,
-and every run of consecutive solved shifts is lifted back to X with one
-in-place GEMM against the n-row basis, so the basis is read once per run,
-not once per shift.
+The per-shift work is only one LAPACK dgesv of the small shifted matrix.
+Each cycle forms every right-hand side in one product, solves the reduced
+systems in place, side by side in one matrix, judges their pivots with one
+``dense.singular`` call per half, and lifts every run of consecutive solved
+shifts back to X with one in-place GEMM against the n-row basis, so the
+basis is read once per run, not once per shift.
 
-A cycle's shifts are independent, and getrf/getrs and the lift's GEMM
-(``dense._gemm``: scipy's dgemm called through ctypes, as scipy's f2py
-``gemm`` holds the GIL) release the GIL.  So each cycle cuts its active
-shifts in two halves, and the thread that solves a half also lifts it: when
-2mp >= ``_SPLIT_MIN_N`` and two or more shifts are active, one helper
-thread, started and joined within the cycle, takes the second half while
-the caller does the first; otherwise the caller does both halves in turn.
+A cycle's shifts are independent, and both the solves (``dense._shifted_gesv``)
+and the lift (``dense._gemm``) call scipy's LAPACK and BLAS through ctypes,
+which releases the GIL where scipy's f2py ``dgesv`` and ``gemm`` hold it.
+So each cycle cuts its active shifts in two halves, and the thread that
+solves a half also lifts it: when 2mp >= ``_SPLIT_MIN_N`` and two or more
+shifts are active, one helper thread, started and joined within the cycle,
+takes the second half while the caller does the first; otherwise the
+caller does both halves in turn.
 The helper only reads the projection and the basis, writes its own buffer
 and its shifts' columns of the solutions and of X, and calls no operator,
 no observer and no name that ``perfbench/tracing.py`` patches; everything
@@ -35,9 +36,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
-from .dense import _gemm, as_block, pivot_block_solve, plu_factor, singular  # pivot_block_solve: tracer only
+from .dense import _gemm, _shifted_gesv, as_block, plu_factor, singular
+from .dense import pivot_block_solve  # noqa: F401  (tracer only)
 from .ebh import ExtendedBasis, basis_fits, build_T, ebha_run, invariant_projection
 from .errors import (
     BadConfig,
@@ -49,9 +50,9 @@ from .errors import (
 )
 
 # Smallest reduced order 2mp at which a cycle's solves and lift are split over
-# two threads.  Below it a shift's getrf/getrs is too short for a second thread to
-# pay for the GIL hand-overs around it: at 2mp = 30 a shift is about 5 us of
-# LAPACK in about 20 us of Python.  Crossover sweep in CHANGES.md.
+# two threads.  Below it the thread's start and join cost more than half a
+# cycle's solves and lift save unless hundreds of shifts are active.
+# Crossover sweeps in CHANGES.md and ROADMAP item 3.
 _SPLIT_MIN_N = 64
 
 
@@ -130,13 +131,15 @@ def solve_shifted(problem, observer=None):
     converged shifts, and restart from the (2m+1)-th block with the reduced
     residual coordinates as the new right-hand sides.
 
-    Each reduced system is factored with partial pivoting by LAPACK getrf in
-    a reused buffer and solved by getrs in place, in its own columns of a
-    fresh (2mp, K*p) matrix per cycle.  The active shifts are cut in two
-    halves, and within each half every run of consecutive solved shifts
-    updates its columns of X with one GEMM against the basis.  Each run's
-    residual coordinates and residual norms then come from one product
-    against ``tau`` and the R factor of the next seed.  When 2mp >= 64 and
+    Each reduced system is solved with partial pivoting by one LAPACK dgesv
+    in a reused buffer, in place in its own columns of a fresh (2mp, K*p)
+    matrix per cycle whose right-hand sides come from one product.  The
+    active shifts are cut in two halves, each half's pivots are judged by
+    ``dense.singular`` in one call, and within each half every run of
+    consecutive solved shifts updates its columns of X with one GEMM
+    against the basis.  Each run's residual coordinates and residual norms
+    then come from one product against ``tau`` and the R factor of the next
+    seed.  When 2mp >= 64 and
     two or more shifts are active, one helper thread solves and lifts the
     second half while the caller does the first; it is joined before the
     cycle goes on, so at most one helper runs per call and none outlives it.
@@ -206,31 +209,24 @@ def solve_shifted(problem, observer=None):
         # ||next_seed @ beta||_F = ||R @ beta||_F for next_seed = Q R.
         R_next = np.linalg.qr(next_seed, mode="r")
         T = np.asfortranarray(proj.T)
-        getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (T,))
-        g11 = basis.gamma11
 
         # Shift k solves in columns k*p:(k+1)*p.  The matrix is not reused,
         # so the observer's Y stay valid after the cycle.
         Ycyc = np.empty((N, K * p), order="F")
         Ycyc[p:] = 0.0  # every right-hand side is zero below row p
+        # Every active shift's right-hand side g11 beta in one product.
+        Ycyc.reshape(N, p, K, order="F")[:p, :, active] = \
+            (basis.gamma11 @ state.beta0[active]).transpose(1, 2, 0)
 
         def solve(ks):
             # Solve each shift's reduced system in its columns of Ycyc, then add
             # the lift of each maximal run of consecutive solved shifts into
             # those columns of X with one GEMM over all n rows.  Returns whether
-            # each shift was singular (then left unsolved) and the runs.  May
-            # run on the helper thread, so it writes nothing but its own buffer
+            # each shift was singular (then not lifted) and the runs.  May run
+            # on the helper thread, so it writes nothing but its own buffers
             # and its shifts' columns of Ycyc and X.
-            shifted_T = np.empty((N, N), order="F")
-            diagonal = shifted_T.ravel(order="F")[:: N + 1]
-            unsolved = []
-            for k in ks:
-                shifted_T[...] = T
-                diagonal += sigmas[k]
-                Y = Ycyc[:, k * p : (k + 1) * p]
-                Y[:p] = g11 @ state.beta0[k]
-                unsolved.append(_factored_solve(getrf, getrs, shifted_T, Y))
-            solved = ks[np.logical_not(unsolved)]
+            unsolved = singular(_shifted_gesv(T, sigmas[ks], ks, Ycyc, p))
+            solved = ks[~unsolved]
             runs = np.split(solved, np.flatnonzero(np.diff(solved) != 1) + 1) if len(solved) else []
             for run in runs:
                 cols = slice(run[0] * p, (run[-1] + 1) * p)
@@ -245,7 +241,7 @@ def solve_shifted(problem, observer=None):
             later = helper.submit(solve, active[half:]) if helper else None
             first = solve(active[:half])
             second = later.result() if later else solve(active[half:])
-        unsolved, runs = first[0] + second[0], first[1] + second[1]
+        unsolved, runs = np.concatenate((first[0], second[0])), first[1] + second[1]
 
         Yrec, Rrec = {}, {}
         for k, is_unsolved in zip(active, unsolved):
@@ -279,36 +275,28 @@ def solve_shifted(problem, observer=None):
     return _outcome(problem, state, frozen)
 
 
-def _factored_solve(getrf, getrs, shifted, Y):
-    """Factor the Fortran-ordered ``shifted`` in place by LAPACK getrf and, unless
-    :func:`dense.singular` holds for its pivots, overwrite the Fortran-ordered
-    right-hand side ``Y`` with the solution by getrs.  Returns whether it was singular."""
-    lu, piv, info = getrf(shifted, overwrite_a=True)
-    if info > 0 or singular(np.diag(lu)):
-        return True
-    getrs(lu, piv, Y, overwrite_b=1)
-    return False
-
-
 def _invariant_subspace_solve(problem, state, frozen, basis, error):
     """Solve every shift exactly on ``basis`` (the blocks before a breakdown, or
     the seed's block) if they span an A-invariant subspace, else raise ``error``;
     a shift whose shifted projection is singular is frozen.  Then end as
     :func:`_outcome` says."""
-    T = invariant_projection(problem.A, basis, error)
-    getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (T,))
+    T = np.asfortranarray(invariant_projection(problem.A, basis, error))
+    p = basis.p
     # A frozen shift's beta0 is in the frame of an earlier seed, not this basis's.
-    for k in np.where(~(state.converged | frozen))[0]:
-        Y = np.zeros((len(T), basis.p), order="F")
-        Y[: basis.p] = basis.gamma11 @ state.beta0[k]
-        shifted = np.asfortranarray(T + problem.shifts[k] * np.eye(len(T)))
-        if _factored_solve(getrf, getrs, shifted, Y):
+    ks = np.where(~(state.converged | frozen))[0]
+    # The i-th of them solves in columns i*p:(i+1)*p.
+    Y = np.zeros((len(T), len(ks) * p), order="F")
+    Y.reshape(len(T), p, len(ks), order="F")[:p] = \
+        (basis.gamma11 @ state.beta0[ks]).transpose(1, 2, 0)
+    unsolved = singular(_shifted_gesv(T, problem.shifts[ks], np.arange(len(ks)), Y, p))
+    for i, k in enumerate(ks):
+        if unsolved[i]:
             frozen[k] = True
             state.residual_history[k].append(np.inf)
             continue
         # Commit only updates that actually converge: the projection here is
         # exact, so anything else must not pollute X.
-        X_trial = state.X[k] + basis.store @ Y
+        X_trial = state.X[k] + basis.store @ Y[:, i * p : (i + 1) * p]
         res = residual_direct(problem.A, problem.C, problem.shifts[k], X_trial)
         if np.isfinite(res) and res < problem.eps:
             state.X[k] = X_trial

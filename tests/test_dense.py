@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ebhess import FunctionSpec, dense, funm, pivot_block_solve, plu_factor
-from ebhess.dense import _gemm, _plu_in_place, singular
+from ebhess.dense import _gemm, _plu_in_place, _shifted_gesv, singular
 from ebhess.ebh import _inv_upper
 from ebhess.errors import (
     BranchCutViolation,
@@ -193,6 +193,10 @@ def _pivots(ratio):
     return np.array([1.0, -0.5, ratio, 0.25])
 
 
+_DEGENERATE = {"nan": _pivots(np.nan), "nan-first": [np.nan, 1.0], "nan-last": [1.0, np.nan],
+               "empty": np.zeros(0), "zero": np.zeros(3), "inf": [1.0, np.inf]}
+
+
 class TestSingular:
     @pytest.mark.parametrize("where", _RATIOS)
     def test_threshold(self, where):
@@ -201,11 +205,18 @@ class TestSingular:
         assert singular(-d) == singular(d)
         assert singular(d * 2.0**-900) == singular(d)  # relative to the largest pivot
 
-    @pytest.mark.parametrize("pivots", [
-        _pivots(np.nan), [np.nan, 1.0], [1.0, np.nan], np.zeros(0), np.zeros(3), [1.0, np.inf],
-    ], ids=["nan", "nan-first", "nan-last", "empty", "zero", "inf"])
+    @pytest.mark.parametrize("pivots", _DEGENERATE.values(), ids=_DEGENERATE)
     def test_degenerate_diagonals_are_singular(self, pivots):
         assert singular(np.array(pivots))
+
+    @pytest.mark.parametrize("pivots", [*map(_pivots, _RATIOS.values()), *_DEGENERATE.values()],
+                             ids=[*_RATIOS, *_DEGENERATE])
+    def test_each_row_gets_the_one_row_decision(self, pivots):
+        # A row scaled far down must be judged against its own largest pivot.
+        d = np.array(pivots, dtype=float)
+        D = np.stack([d, np.full(len(d), 2.0), d * 2.0**-900, -d])
+        assert singular(D).tolist() == [singular(row) for row in D]
+        assert singular(D[:0]).shape == (0,)
 
     @pytest.mark.parametrize("where", _RATIOS)
     @pytest.mark.parametrize("call, error", [
@@ -282,3 +293,69 @@ class TestGemm:
         assert calls == []
         _gemm(Vb, Y, X, 1.0)
         assert len(calls) == 1
+
+
+def _gesv_operands(N=30, K=7, p=5, pad=0):
+    """A cycle's F-ordered projection T and a wide F-ordered Y with K shifts'
+    p columns each; ``pad`` extra rows below Y's N make its column stride N + pad."""
+    rng = np.random.default_rng(5)
+    T = np.asfortranarray(rng.standard_normal((N, N)))
+    Y = np.asfortranarray(rng.standard_normal((N + pad, K * p)))[:N]
+    return T, Y
+
+
+class TestShiftedGesv:
+    @pytest.mark.parametrize("pad", [0, 3])
+    def test_same_bits_as_getrf_getrs(self, pad):
+        T, Y = _gesv_operands(pad=pad)
+        N, p = len(T), 5
+        ks, shifts = np.array([1, 3, 6]), [0.5, -1.0, 2.0]
+        got = Y.copy(order="F")
+        pivots = _shifted_gesv(T, shifts, ks, got, p)
+        # Every column outside the listed shifts' keeps Y's bits.
+        want = Y.copy(order="F")
+        getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (T,))
+        for k, sigma, row in zip(ks, shifts, pivots):
+            lu, piv, info = getrf(T + sigma * np.eye(N))
+            assert info == 0
+            cols = slice(k * p, (k + 1) * p)
+            want[:, cols] = getrs(lu, piv, Y[:, cols])[0]
+            assert_array_equal(row, np.diag(lu))
+            assert_allclose((T + sigma * np.eye(N)) @ got[:, cols], Y[:, cols], atol=1e-12)
+        assert_array_equal(got, want)
+        assert not singular(pivots).any()
+
+    def test_exact_eigenvalue_and_nan_shift_are_singular(self):
+        N, p = 6, 2
+        T = np.asfortranarray(np.diag(np.arange(1.0, N + 1)))
+        Y = np.asfortranarray(np.random.default_rng(1).standard_normal((N, 3 * p)))
+        got = Y.copy(order="F")
+        # Shift -3 zeroes a pivot exactly (info > 0): dgesv leaves Y_k as it was.
+        pivots = _shifted_gesv(T, [0.5, -3.0, np.nan], [0, 1, 2], got, p)
+        assert singular(pivots).tolist() == [False, True, True]
+        assert_array_equal(got[:, p : 2 * p], Y[:, p : 2 * p])
+        assert_allclose(got[:, :p], Y[:, :p] / (np.arange(1.0, N + 1) + 0.5)[:, None], rtol=1e-15)
+
+    def test_bad_operands_raise_before_lapack(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dense, "_DGESV", lambda *args: calls.append(args))
+        T, Y = _gesv_operands()
+        read_only = Y.copy(order="F")
+        read_only.flags.writeable = False
+        shifts, ks = [0.5, 1.0], [1, 3]
+        bad = {
+            "C-ordered T": (np.ascontiguousarray(T), shifts, ks, Y),
+            "non-square T": (T[:, 1:], shifts, ks, Y),
+            "float32 Y": (T, shifts, ks, Y.astype(np.float32)),
+            "C-ordered Y": (T, shifts, ks, np.ascontiguousarray(Y)),
+            "read-only Y": (T, shifts, ks, read_only),
+            "row count": (T, shifts, ks, Y[1:]),
+            "shift past Y's columns": (T, shifts, [1, 7], Y),
+            "Y shares T": (T, shifts, ks, T),
+        }
+        for operands in bad.values():
+            with pytest.raises(DimensionMismatch, match="gesv"):
+                _shifted_gesv(*operands, 5)
+        assert calls == []
+        _shifted_gesv(T, shifts, ks, Y, 5)
+        assert len(calls) == 2

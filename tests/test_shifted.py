@@ -4,7 +4,6 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ebhess import (
@@ -354,26 +353,18 @@ class TestTwoThreadReducedSolves:
                     assert mine == want + helper_runs and other == []
 
     def test_helper_error_reaches_the_caller(self, monkeypatch):
-        # getrf fails on the helper thread only; the caller sees the error,
-        # and the helper is joined before solve_shifted returns.
-        get, caller = sla.get_lapack_funcs, threading.current_thread()
+        # The reduced solves fail on the helper thread only; the caller sees
+        # the error, and the helper is joined before solve_shifted returns.
+        gesv, caller = shifted._shifted_gesv, threading.current_thread()
 
-        def get_lapack_funcs(names, arrays=()):
-            funcs = get(names, arrays)
-            if names != ("getrf", "getrs"):
-                return funcs
-            getrf, getrs = funcs
+        def failing_gesv(*args):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("helper gesv failed")
+            return gesv(*args)
 
-            def failing_getrf(*args, **kwargs):
-                if threading.current_thread() is not caller:
-                    raise RuntimeError("helper getrf failed")
-                return getrf(*args, **kwargs)
-
-            return failing_getrf, getrs
-
-        monkeypatch.setattr(sla, "get_lapack_funcs", get_lapack_funcs)
+        monkeypatch.setattr(shifted, "_shifted_gesv", failing_gesv)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="helper getrf failed"):
+        with pytest.raises(RuntimeError, match="helper gesv failed"):
             solve_shifted(self._ritz_problem())
         assert threading.active_count() == before
 
