@@ -60,8 +60,13 @@ class PivotedLUFactor:
 
 
 def as_block(B):
-    """``B`` as a float array, a 1-D vector as one column."""
-    B = np.asarray(B, dtype=float)
+    """``B`` as a float array, a 1-D vector as one column.  Raises
+    :class:`DimensionMismatch`, before any cast, unless ``B`` is a 1-D or 2-D
+    array of real numbers (bool, integer or float)."""
+    B = np.asarray(B)
+    if B.ndim not in (1, 2) or B.dtype.kind not in "biuf":
+        raise DimensionMismatch(f"need a 1-D or 2-D array of real numbers, got {B.ndim}-D {B.dtype}")
+    B = B.astype(float, copy=False)
     return B[:, None] if B.ndim == 1 else B
 
 
@@ -73,8 +78,6 @@ def plu_factor(M):
     signalling breakdown to the caller.
     """
     M = as_block(M)
-    if M.ndim != 2:
-        raise DimensionMismatch("matrix must be 2-dimensional")
     n, p = M.shape
     if n < p or p == 0:
         raise DimensionMismatch(f"need rows >= cols >= 1, got {n}x{p}")

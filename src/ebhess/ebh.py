@@ -8,6 +8,7 @@ normalized with a pivoted LU in place of a QR factorization.
 """
 
 import numbers
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +103,7 @@ def start_block(A, V, m):
     return V, n, p
 
 
-def ebha_run(A, V, m):
+def ebha_run(A, V, m, _helper=None):
     """Run m steps of the pivoted extended block Hessenberg process.
 
     Parameters
@@ -122,6 +123,12 @@ def ebha_run(A, V, m):
     side: one ``trtrs`` and one ``gemm`` per earlier block serve both.  Each
     keeps its modified Gram-Schmidt order, so the bits are those of
     projecting them one at a time.
+
+    ``_helper``, a ``concurrent.futures`` executor private to
+    :func:`solve_shifted`, forms each AV_{c+1} on its thread while the caller
+    forms A^{-1}V_c, so ``A.apply`` and ``A.solve`` run at the same time.
+    The caller waits for it before projecting the pair or raising, so the
+    checks come in the same order and the basis has the same bits.
 
     Memory: the n x (2m+1)p store plus O(np) working memory; each candidate
     block is projected and factored in its own slot of the store.
@@ -150,6 +157,10 @@ def ebha_run(A, V, m):
         # non-finite when raw has a NaN or inf entry.
         blocks[step - 1][...] = raw
         return column_max(blocks[step - 1]).max()
+
+    def apply_candidate(c):
+        # Form A V_{c+1} in the slot of V_{c+3}; may run on the helper thread.
+        return load(c + 3, A.apply(blocks[c]))
 
     def finite(step, scale):
         if not np.isfinite(scale):
@@ -200,8 +211,13 @@ def ebha_run(A, V, m):
         # in the slots of V_{c+2} and V_{c+3}.  As step by step, a non-finite
         # A candidate is reported only after V_{c+2} is complete.
         for c in range(0, 2 * m, 2):
-            scale = finite(c + 2, load(c + 2, A.solve(blocks[c - 1] if c else V)))
-            next_scale = load(c + 3, A.apply(blocks[c]))
+            later = _helper.submit(apply_candidate, c) if _helper else None
+            try:
+                scale = finite(c + 2, load(c + 2, A.solve(blocks[c - 1] if c else V)))
+            finally:
+                if later:
+                    wait((later,))  # it writes into the store: never leave it running
+            next_scale = later.result() if later else apply_candidate(c)
             Hpair = H[:, c * p : (c + 2) * p]
             project(store[:, (c + 1) * p : (c + 3) * p], Hpair, range(c + 1))
             Hpair[(c + 1) * p : (c + 2) * p, :p] = normalize(c + 2, scale)

@@ -59,6 +59,12 @@ class FactorizedOperator:
     Construct through one of the classmethods; the inverse strategy is chosen
     from the structure: closed-form 2x2 block inverses, dense LU for wide-band
     operators below n = 2000, sparse LU otherwise.
+
+    ``apply`` and ``solve`` may run at the same time on two threads:
+    ``solve_shifted`` forms A V_c on a helper thread while it forms
+    A^{-1} V_{c-1}.  The classmethod-built operators only read their
+    matrices and factors, so they allow that; functions given to the
+    constructor must too.
     """
 
     def __init__(self, n, apply_fn, solve_fn, sparse_fn, structure, rot2=None):

@@ -15,19 +15,25 @@ systems in place, side by side in one matrix, judges their pivots with one
 shifts back to X with one in-place GEMM against the n-row basis, so the
 basis is read once per run, not once per shift.
 
-A cycle's shifts are independent, and both the solves (``dense._shifted_gesv``)
-and the lift (``dense._gemm``) call scipy's LAPACK and BLAS through ctypes,
-which releases the GIL where scipy's f2py ``dgesv`` and ``gemm`` hold it.
-So each cycle cuts its active shifts in two halves, and the thread that
-solves a half also lifts it: when 2mp >= ``_SPLIT_MIN_N`` and two or more
-shifts are active, one helper thread, started and joined within the cycle,
-takes the second half while the caller does the first; otherwise the
-caller does both halves in turn.
-The helper only reads the projection and the basis, writes its own buffer
-and its shifts' columns of the solutions and of X, and calls no operator,
-no observer and no name that ``perfbench/tracing.py`` patches; everything
-else runs on the calling thread in shift order, so X has the same bits
-split or not.
+A call with enough work gets one helper thread, started with the call's
+first cycle and joined on every way out of it.  In each basis step the
+helper forms A V_c while the caller forms A^{-1} V_{c-1}; scipy's sparse
+product and SuperLU solve both release the GIL.  In each cycle with two or
+more active shifts, the active shifts are cut in two halves and the helper
+solves and lifts the second half while the caller does the first: the
+solves (``dense._shifted_gesv``) and the lift (``dense._gemm``) call scipy's
+LAPACK and BLAS through ctypes, which releases the GIL where scipy's f2py
+``dgesv`` and ``gemm`` hold it.  Without a helper the caller does both
+halves in turn, so the GEMMs are the same.  Whether a call gets a helper
+depends on its shifts' work per cycle, K (2mp) (np + (2mp)^2), against
+``_HELPER_MIN_WORK``.
+The helper reads the projection and the basis, and writes only its own
+buffers, its basis candidate's slot of the store and its shifts' columns of
+the solutions and of X.  It calls ``A.apply`` (which ``perfbench/tracing.py``
+patches), so an operator must allow ``apply`` and ``solve`` to run at the
+same time on two threads; it calls no observer and no other name the tracer
+patches.  Everything else runs on the calling thread in shift order, so X
+has the same bits with a helper or without.
 """
 
 import contextlib
@@ -49,11 +55,12 @@ from .errors import (
     ReducedSystemSingular,
 )
 
-# Smallest reduced order 2mp at which a cycle's solves and lift are split over
-# two threads.  Below it the thread's start and join cost more than half a
-# cycle's solves and lift save unless hundreds of shifts are active.
-# Crossover sweeps in CHANGES.md and ROADMAP item 3.
-_SPLIT_MIN_N = 64
+# A call gets a helper thread when the work of its shifts in one cycle,
+# K N (np + N^2) for K shifts of reduced order N = 2mp (the lifts' and the
+# reduced solves' flops up to constant factors), is at least this.  Below it
+# the handoffs between the threads cost more than they save.  Crossover sweep
+# in ROADMAP item 3.
+_HELPER_MIN_WORK = 3e7
 
 
 @dataclass
@@ -69,7 +76,11 @@ class ShiftedProblem:
 
     def __post_init__(self):
         self.C = as_block(self.C)
-        self.shifts = np.atleast_1d(np.asarray(self.shifts, dtype=float))
+        shifts = np.atleast_1d(np.asarray(self.shifts))
+        if shifts.ndim != 1 or shifts.dtype.kind not in "biuf":
+            raise BadConfig(
+                f"shifts must be a 1-D array of real numbers, got {shifts.ndim}-D {shifts.dtype}")
+        self.shifts = shifts.astype(float, copy=False)
         if not 0 < self.eps < np.inf:
             raise BadConfig(f"eps must be positive and finite, got {self.eps}")
         if len(self.shifts) < 1:
@@ -139,15 +150,17 @@ def solve_shifted(problem, observer=None):
     consecutive solved shifts updates its columns of X with one GEMM
     against the basis.  Each run's residual coordinates and residual norms
     then come from one product against ``tau`` and the R factor of the next
-    seed.  When 2mp >= 64 and
-    two or more shifts are active, one helper thread solves and lifts the
-    second half while the caller does the first; it is joined before the
-    cycle goes on, so at most one helper runs per call and none outlives it.
-    The helper calls neither the operator nor the observer, and X has the
+    seed.  When K (2mp) (np + (2mp)^2) >= ``_HELPER_MIN_WORK`` for K shifts,
+    the call starts one helper thread, and joins it before it returns or
+    raises.  The helper forms A V_c in every basis step while the caller
+    forms A^{-1} V_{c-1}, and solves and lifts the second half of the
+    shifts of every cycle with two or more of them while the caller does
+    the first.  It calls ``A.apply`` but not the observer, and X has the
     same bits as on one thread.
 
     Memory: X plus one cycle's basis; the next seed is copied out, so a
     cycle's basis is freed (unless the observer keeps it) before the next.
+    With a helper, the n x p product A V_c lives beside the solve's result.
 
     A shift whose reduced system is singular (sigma on a Ritz value) is
     frozen: it keeps its X, its residual coordinates and one ``inf`` in its
@@ -195,84 +208,85 @@ def solve_shifted(problem, observer=None):
             "operator too small for m steps and seed subspace is not invariant"))
 
     N = 2 * m * p
-    while state.restart_count < problem.max_restarts:
-        active = np.where(~(state.converged | frozen))[0]
-        if len(active) == 0:
-            break
-        try:
-            basis = ebha_run(A, seed, m)
-        except Breakdown as exc:
-            return _invariant_subspace_solve(problem, state, frozen, exc.basis, exc)
-        proj = build_T(basis)
-        Vb = basis.matrix(2 * m)
-        next_seed = basis.blocks[2 * m]
-        # ||next_seed @ beta||_F = ||R @ beta||_F for next_seed = Q R.
-        R_next = np.linalg.qr(next_seed, mode="r")
-        T = np.asfortranarray(proj.T)
+    # At most one helper thread per call, joined on every way out of it.
+    wants_helper = K * N * (n * p + N * N) >= _HELPER_MIN_WORK
+    with ThreadPoolExecutor(max_workers=1) if wants_helper else contextlib.nullcontext() as helper:
+        while state.restart_count < problem.max_restarts:
+            active = np.where(~(state.converged | frozen))[0]
+            if len(active) == 0:
+                break
+            try:
+                basis = ebha_run(A, seed, m, _helper=helper)
+            except Breakdown as exc:
+                return _invariant_subspace_solve(problem, state, frozen, exc.basis, exc)
+            proj = build_T(basis)
+            Vb = basis.matrix(2 * m)
+            next_seed = basis.blocks[2 * m]
+            # ||next_seed @ beta||_F = ||R @ beta||_F for next_seed = Q R.
+            R_next = np.linalg.qr(next_seed, mode="r")
+            T = np.asfortranarray(proj.T)
 
-        # Shift k solves in columns k*p:(k+1)*p.  The matrix is not reused,
-        # so the observer's Y stay valid after the cycle.
-        Ycyc = np.empty((N, K * p), order="F")
-        Ycyc[p:] = 0.0  # every right-hand side is zero below row p
-        # Every active shift's right-hand side g11 beta in one product.
-        Ycyc.reshape(N, p, K, order="F")[:p, :, active] = \
-            (basis.gamma11 @ state.beta0[active]).transpose(1, 2, 0)
+            # Shift k solves in columns k*p:(k+1)*p.  The matrix is not reused,
+            # so the observer's Y stay valid after the cycle.
+            Ycyc = np.empty((N, K * p), order="F")
+            Ycyc[p:] = 0.0  # every right-hand side is zero below row p
+            # Every active shift's right-hand side g11 beta in one product.
+            Ycyc.reshape(N, p, K, order="F")[:p, :, active] = \
+                (basis.gamma11 @ state.beta0[active]).transpose(1, 2, 0)
 
-        def solve(ks):
-            # Solve each shift's reduced system in its columns of Ycyc, then add
-            # the lift of each maximal run of consecutive solved shifts into
-            # those columns of X with one GEMM over all n rows.  Returns whether
-            # each shift was singular (then not lifted) and the runs.  May run
-            # on the helper thread, so it writes nothing but its own buffers
-            # and its shifts' columns of Ycyc and X.
-            unsolved = singular(_shifted_gesv(T, sigmas[ks], ks, Ycyc, p))
-            solved = ks[~unsolved]
-            runs = np.split(solved, np.flatnonzero(np.diff(solved) != 1) + 1) if len(solved) else []
-            for run in runs:
-                cols = slice(run[0] * p, (run[-1] + 1) * p)
-                _gemm(Vb, Ycyc[:, cols], Xmat[:, cols], 1.0)
-            return unsolved, runs
+            def solve(ks):
+                # Solve each shift's reduced system in its columns of Ycyc, then add
+                # the lift of each maximal run of consecutive solved shifts into
+                # those columns of X with one GEMM over all n rows.  Returns whether
+                # each shift was singular (then not lifted) and the runs.  May run
+                # on the helper thread, so it writes nothing but its own buffers
+                # and its shifts' columns of Ycyc and X.
+                unsolved = singular(_shifted_gesv(T, sigmas[ks], ks, Ycyc, p))
+                solved = ks[~unsolved]
+                runs = np.split(solved, np.flatnonzero(np.diff(solved) != 1) + 1) if len(solved) else []
+                for run in runs:
+                    cols = slice(run[0] * p, (run[-1] + 1) * p)
+                    _gemm(Vb, Ycyc[:, cols], Xmat[:, cols], 1.0)
+                return unsolved, runs
 
-        # The shifts are cut in two halves whether or not a helper thread takes
-        # the second, so X's GEMMs, and with them its bits, are the same either way.
-        half = (len(active) + 1) // 2
-        split = N >= _SPLIT_MIN_N and len(active) >= 2
-        with ThreadPoolExecutor(max_workers=1) if split else contextlib.nullcontext() as helper:
-            later = helper.submit(solve, active[half:]) if helper else None
+            # The shifts are cut in two halves whether or not a helper thread takes
+            # the second, so X's GEMMs, and with them its bits, are the same either way.
+            half = (len(active) + 1) // 2
+            later = helper.submit(solve, active[half:]) if helper and len(active) >= 2 else None
             first = solve(active[:half])
             second = later.result() if later else solve(active[half:])
-        unsolved, runs = np.concatenate((first[0], second[0])), first[1] + second[1]
+            unsolved, runs = np.concatenate((first[0], second[0])), first[1] + second[1]
 
-        Yrec, Rrec = {}, {}
-        for k, is_unsolved in zip(active, unsolved):
-            if is_unsolved:
-                # sigma hit a Ritz value: freeze this shift.
-                frozen[k] = True
-                state.residual_history[k].append(np.inf)
-            else:
-                Yrec[k] = Ycyc[:, k * p : (k + 1) * p]
-        # Each run takes its next residual coordinates beta = -tau Y[-2p:] and
-        # their norms ||next_seed beta||_F together.
-        for run in runs:
-            cols = slice(run[0] * p, (run[-1] + 1) * p)
-            beta = -proj.tau @ Ycyc[-2 * p :, cols]
-            res = np.linalg.norm((R_next @ beta).reshape(p, len(run), p), axis=(0, 2))
-            state.beta0[run] = beta.reshape(p, len(run), p).swapaxes(0, 1)
-            state.converged[run] = res < problem.eps
-            for k, r in zip(run.tolist(), res.tolist()):
-                state.residual_history[k].append(r)
-                Rrec[k] = r
+            Yrec, Rrec = {}, {}
+            for k, is_unsolved in zip(active, unsolved):
+                if is_unsolved:
+                    # sigma hit a Ritz value: freeze this shift.
+                    frozen[k] = True
+                    state.residual_history[k].append(np.inf)
+                else:
+                    Yrec[k] = Ycyc[:, k * p : (k + 1) * p]
+            # Each run takes its next residual coordinates beta = -tau Y[-2p:] and
+            # their norms ||next_seed beta||_F together.
+            for run in runs:
+                cols = slice(run[0] * p, (run[-1] + 1) * p)
+                beta = -proj.tau @ Ycyc[-2 * p :, cols]
+                res = np.linalg.norm((R_next @ beta).reshape(p, len(run), p), axis=(0, 2))
+                state.beta0[run] = beta.reshape(p, len(run), p).swapaxes(0, 1)
+                state.converged[run] = res < problem.eps
+                for k, r in zip(run.tolist(), res.tolist()):
+                    state.residual_history[k].append(r)
+                    Rrec[k] = r
 
-        state.restart_count += 1
-        if observer is not None:
-            observer(
-                CycleRecord(state.restart_count, basis, proj, active, Yrec, Rrec, state)
-            )
-        # Copy the seed out once the cycle's work is freed, then free the basis.
-        del proj, Vb, Ycyc, Yrec
-        seed = next_seed.copy(order="F")
-        del basis, next_seed
-    return _outcome(problem, state, frozen)
+            state.restart_count += 1
+            if observer is not None:
+                observer(
+                    CycleRecord(state.restart_count, basis, proj, active, Yrec, Rrec, state)
+                )
+            # Copy the seed out once the cycle's work is freed, then free the basis.
+            del proj, Vb, Ycyc, Yrec
+            seed = next_seed.copy(order="F")
+            del basis, next_seed
+        return _outcome(problem, state, frozen)
 
 
 def _invariant_subspace_solve(problem, state, frozen, basis, error):

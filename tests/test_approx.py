@@ -29,6 +29,14 @@ FIVE = [FunctionSpec.from_name(t) for t in ("exp", "sqrt", "expnegsqrt", "log", 
 
 
 class TestMfEbh:
+    @pytest.mark.parametrize("bad", [np.ones((20, 2, 1)), np.ones((20, 2)) + 1e-3j, 1.0],
+                             ids=["3-D", "complex", "0-D"])
+    def test_bad_block_is_a_dimension_mismatch(self, bad):
+        # Typed, and raised before a complex V could be cast to its real part.
+        A = random_sparse_operator(20, 0)
+        for method in (mf_ebh, mf_eba):
+            with pytest.raises(DimensionMismatch, match="real numbers"):
+                method(A, bad, 2, FunctionSpec.exp())
     def test_first_power_is_exact(self):
         A = random_sparse_operator(60, 0)
         V = random_block(60, 2, 0)

@@ -18,6 +18,24 @@ from ebhess.errors import (
 from _util import reference_plu
 
 
+class TestAsBlock:
+    def test_real_arrays(self):
+        B = np.asfortranarray(np.ones((4, 2)))
+        assert dense.as_block(B) is B
+        for given in ([1, 2, 3], np.array([True, False, True]), np.arange(3, dtype=np.float32)):
+            got = dense.as_block(given)
+            assert got.dtype == np.float64
+            assert_array_equal(got, np.asarray(given, dtype=float)[:, None])
+
+    @pytest.mark.parametrize("bad", [
+        3.0, np.ones((2, 2, 2)), [[1.0 + 2.0j], [0.5]], np.ones((3, 1), dtype=complex),
+        [["1.0"]], np.array([None, 1.0]), np.array([1, 2], dtype="datetime64[s]"),
+    ], ids=["0-D", "3-D", "complex list", "complex zero imaginary", "strings", "object", "datetime"])
+    def test_other_input_is_a_dimension_mismatch(self, bad):
+        with pytest.raises(DimensionMismatch, match="1-D or 2-D array of real numbers"):
+            dense.as_block(bad)
+
+
 class TestPluFactor:
     def test_identity(self):
         f = plu_factor(np.eye(3))

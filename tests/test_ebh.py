@@ -1,4 +1,7 @@
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -357,6 +360,95 @@ class TestEbhaRun:
         got, want = build_T(basis), build_T(ExtendedBasis(A.n, p, m, store, pivots, H, g11))
         assert np.array_equal(got.T, want.T)
         assert np.array_equal(got.tau, want.tau)
+
+class TestHelperThread:
+    """With a helper executor, ``ebha_run`` forms each A V_c on the helper
+    while the caller forms A^{-1} V_{c-1}; the basis keeps its bits."""
+
+    @staticmethod
+    def _recorded(base, log, apply_first=None, solve_first=None):
+        # ``base`` with each action logging the thread it ran on; ``apply_first``
+        # and ``solve_first`` run before the action, on its thread.
+        def action(name, first):
+            def act(B):
+                log.append((name, threading.current_thread()))
+                if first:
+                    first()
+                return getattr(base, name)(B)
+            return act
+
+        return FactorizedOperator(base.n, action("apply", apply_first),
+                                  action("solve", solve_first), base.to_sparse, base.structure)
+
+    @staticmethod
+    def _assert_same_basis(got, want):
+        assert_array_equal(got.store, want.store)
+        assert_array_equal(got.H, want.H)
+        assert_array_equal(got.gamma11, want.gamma11)
+        for g, w in zip(got.pivot_sets, want.pivot_sets, strict=True):
+            assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("name,size", [("convdiff_l2", 40), ("rot2_blockdiag", 2000)])
+    def test_same_bits_with_and_without_a_helper(self, name, size):
+        base = gallery(GallerySpec(name, size))
+        V = np.random.default_rng(7).random((base.n, 5))
+        m, log = 6, []
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            got = ebha_run(self._recorded(base, log), V, m, _helper=helper)
+        self._assert_same_basis(got, ebha_run(base, V, m))
+        # Every A V_c on the helper, every A^{-1} V_c on the caller.
+        caller = threading.current_thread()
+        assert sorted((name, thread is caller) for name, thread in log) == \
+            [("apply", False)] * m + [("solve", True)] * m
+
+    def test_same_breakdown_basis_with_a_helper(self):
+        # As in test_breakdown_carries_completed_blocks: block 6 breaks down.
+        A = FactorizedOperator.from_dense(np.diag(np.arange(1.0, 41.0)))
+        C = np.zeros((40, 1))
+        C[:5] = 1.0
+        with pytest.raises(Breakdown) as want:
+            ebha_run(A, C, 3)
+        with ThreadPoolExecutor(max_workers=1) as helper, pytest.raises(Breakdown) as got:
+            ebha_run(A, C, 3, _helper=helper)
+        assert got.value.step == want.value.step == 6
+        self._assert_same_basis(got.value.basis, want.value.basis)
+
+    @pytest.mark.parametrize("broken,calls,step", [("apply", 0, 3), ("solve", 0, 2), ("apply", 1, 5)])
+    def test_overflow_names_the_same_block(self, broken, calls, step):
+        # The A candidate is joined before it is checked: a non-finite A^{-1}
+        # candidate is still reported first, and an A candidate after its pair.
+        A = nan_after(random_sparse_operator(40, 2), broken, calls)
+        with ThreadPoolExecutor(max_workers=1) as helper, \
+                pytest.raises(Overflow, match=f"candidate block {step} "):
+            ebha_run(A, random_block(40, 2, 2), 3, _helper=helper)
+
+    def test_apply_error_on_the_helper_reaches_the_caller(self):
+        def fail():
+            raise RuntimeError("apply failed")
+
+        A = self._recorded(random_sparse_operator(40, 2), [], apply_first=fail)
+        with ThreadPoolExecutor(max_workers=1) as helper, \
+                pytest.raises(RuntimeError, match="apply failed"):
+            ebha_run(A, random_block(40, 2, 2), 3, _helper=helper)
+
+    def test_caller_error_waits_for_the_helper(self):
+        # The solve fails at once while the helper is still forming A V_1:
+        # ebha_run raises the solve's error only once the helper is done.
+        log = []
+
+        def slow():
+            time.sleep(0.05)
+            log.append("apply done")
+
+        def fail():
+            raise RuntimeError("solve failed")
+
+        A = self._recorded(random_sparse_operator(40, 2), [], apply_first=slow, solve_first=fail)
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            with pytest.raises(RuntimeError, match="solve failed"):
+                ebha_run(A, random_block(40, 2, 2), 3, _helper=helper)
+            assert log == ["apply done"]
+
 
 class TestLeftApply:
     def test_basis_gives_identity(self):

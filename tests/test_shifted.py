@@ -21,7 +21,7 @@ from ebhess import (
 )
 from ebhess import shifted
 from ebhess.errors import NotConverged
-from ebhess.errors import BadConfig, Breakdown, ReducedSystemSingular
+from ebhess.errors import BadConfig, Breakdown, DimensionMismatch, ReducedSystemSingular
 from _util import random_block, random_sparse_operator
 
 
@@ -242,6 +242,15 @@ class TestSolveShifted:
                 ShiftedProblem(A, C, [0.0, bad], m=2)
 
 
+def _threads_recording_operator(base, applies):
+    """``base`` with each ``apply`` logging its thread in ``applies``."""
+    def apply(B):
+        applies.append(threading.current_thread())
+        return base.apply(B)
+
+    return FactorizedOperator(base.n, apply, base.solve, base.to_sparse, base.structure)
+
+
 def _run_with_records(problem):
     """solve_shifted's state (also on NotConverged) and a copy of every
     observer Y, cycle by cycle."""
@@ -258,15 +267,17 @@ def _run_with_records(problem):
 
 
 class TestTwoThreadReducedSolves:
-    """Above the reduced order ``shifted._SPLIT_MIN_N`` a cycle's shifts are
-    factored and solved on two threads; everything else stays serial."""
+    """A call whose shift work reaches ``shifted._HELPER_MIN_WORK`` gets one
+    helper thread, which forms A V_c in each basis step and solves and lifts
+    the second half of the shifts in each cycle; other calls stay serial.
+    The tests set the constant to 0 or inf to pick the path."""
 
     @staticmethod
     def _ritz_problem(max_restarts=3):
-        # N = 2mp = 70 is above the cutoff.  Shift 6, in the helper's half
-        # (shifts 4..7 of 8), sits on a Ritz value of cycle 1 (pivot ratio
-        # 2.6e-16, well under the rule's 70 eps), so it is frozen there;
-        # eps = 1e-300 keeps every other shift active, so every cycle is split.
+        # N = 2mp = 70.  Shift 6, in the helper's half (shifts 4..7 of 8), sits
+        # on a Ritz value of cycle 1 (pivot ratio 2.6e-16, well under the
+        # rule's 70 eps), so it is frozen there; eps = 1e-300 keeps every other
+        # shift active, so every cycle with a helper is split.
         A = gallery(GallerySpec("convdiff_l2", 16))
         C = random_block(A.n, 5, 6)
         ritz = np.linalg.eigvals(build_T(ebha_run(A, C, 7)).T)
@@ -274,17 +285,39 @@ class TestTwoThreadReducedSolves:
         sigmas[6] = -float(ritz[np.abs(ritz.imag) < 1e-12].real[0])
         return ShiftedProblem(A, C, sigmas, m=7, eps=1e-300, max_restarts=max_restarts)
 
+    @staticmethod
+    def _threads_of(monkeypatch, module, name):
+        # Record the thread of every call of ``module.name``.
+        threads, fn = [], getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+        return threads
+
     def test_split_equals_serial(self, monkeypatch):
-        problem = self._ritz_problem()
-        assert 2 * problem.m * 5 >= shifted._SPLIT_MIN_N
+        problem, applies = self._ritz_problem(), []
+        problem.A = _threads_recording_operator(problem.A, applies)
+        solves = self._threads_of(monkeypatch, shifted, "_shifted_gesv")
+        monkeypatch.setattr(shifted, "_HELPER_MIN_WORK", 0)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
         try:
             split, split_Y = _run_with_records(problem)
         finally:
             sys.setswitchinterval(switch)
-        monkeypatch.setattr(shifted, "_SPLIT_MIN_N", 10**9)
+        caller = threading.current_thread()
+        # Two threads ran: the helper solved a half of the shifts in every
+        # cycle and formed every A V_c, 3 cycles of 7 steps.
+        assert len(solves) == 6 and len({*solves} - {caller}) == 1
+        assert len(applies) == 21 and caller not in applies
+        solves.clear()
+        applies.clear()
+        monkeypatch.setattr(shifted, "_HELPER_MIN_WORK", np.inf)
         serial, serial_Y = _run_with_records(problem)
+        assert solves == [caller] * 6 and applies == [caller] * 21
 
         assert split.restart_count == serial.restart_count == 3
         assert split.residual_history[6] == [np.inf]
@@ -297,25 +330,30 @@ class TestTwoThreadReducedSolves:
             for k, Y in cycle_split.items():
                 assert_array_equal(Y, cycle_serial[k])
 
-    def test_one_helper_per_cycle_and_none_below_the_cutoff(self, monkeypatch):
-        started = []
-        start = threading.Thread.start
-
-        def counting_start(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counting_start)
+    def test_at_most_one_helper_per_call_and_none_when_the_rule_says_serial(self, monkeypatch):
+        started = self._threads_of(monkeypatch, threading.Thread, "start")
         before = threading.active_count()
+        monkeypatch.setattr(shifted, "_HELPER_MIN_WORK", 0)
         state, _ = _run_with_records(self._ritz_problem())
-        assert len(started) == state.restart_count == 3
+        assert state.restart_count == 3 and len(started) == 1
         assert threading.active_count() == before
-        # N = 2mp = 20 is below the cutoff: no thread at all.
-        started.clear()
+        # 20 shifts at N = 2mp = 20 on n = 80 rows: the rule says serial.
+        monkeypatch.undo()
+        started = self._threads_of(monkeypatch, threading.Thread, "start")
         A = random_sparse_operator(80, 3)
         state = solve_shifted(ShiftedProblem(A, random_block(80, 2, 3), np.linspace(0, 2, 20),
                                              m=5, eps=1e-9))
         assert state.converged.all() and started == []
+
+    @pytest.mark.parametrize("kind,grid,K,m", [("convdiff_l1", 50, 500, 10), ("convdiff_l2", 150, 50, 3)])
+    def test_paper_sized_calls_get_a_helper(self, monkeypatch, kind, grid, K, m):
+        # The README's 500-shift and restarted commands (and the benchmark's
+        # shifted workloads) run with a helper under the rule.
+        A = gallery(GallerySpec(kind, grid))
+        problem = ShiftedProblem(A, random_block(A.n, 5, 7), np.linspace(0, 5, K), eps=1e-9, m=m)
+        started = self._threads_of(monkeypatch, threading.Thread, "start")
+        state = solve_shifted(problem)
+        assert state.converged.all() and len(started) == 1
 
     def test_both_threads_lift(self, monkeypatch):
         # Each thread adds the lift of every run of solved shifts in its half
@@ -335,8 +373,7 @@ class TestTwoThreadReducedSolves:
         helper_runs = [(256, 10), (256, 5)]
         caller_runs = [[(256, 20)]] * 2 + [[(256, 15)]]
         for split in (True, False):
-            if not split:
-                monkeypatch.setattr(shifted, "_SPLIT_MIN_N", 10**9)
+            monkeypatch.setattr(shifted, "_HELPER_MIN_WORK", 0 if split else np.inf)
             calls.clear()
             cuts.clear()
             with pytest.raises(NotConverged):
@@ -363,16 +400,62 @@ class TestTwoThreadReducedSolves:
             return gesv(*args)
 
         monkeypatch.setattr(shifted, "_shifted_gesv", failing_gesv)
+        monkeypatch.setattr(shifted, "_HELPER_MIN_WORK", 0)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="helper gesv failed"):
             solve_shifted(self._ritz_problem())
         assert threading.active_count() == before
 
-    def test_no_thread_outlives_not_converged(self):
+    def test_helper_apply_error_reaches_the_caller(self, monkeypatch):
+        # A.apply fails in cycle 2, on the helper: the caller sees the same
+        # exception object, and the helper is joined.
+        problem, applies, error = self._ritz_problem(), [], RuntimeError("apply failed")
+        base = _threads_recording_operator(problem.A, applies)
+
+        def apply(B):
+            if len(applies) == 7:
+                raise error
+            return base.apply(B)
+
+        problem.A = FactorizedOperator(base.n, apply, base.solve, base.to_sparse, base.structure)
+        monkeypatch.setattr(shifted, "_HELPER_MIN_WORK", 0)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as exc:
+            solve_shifted(problem)
+        assert exc.value is error and threading.current_thread() not in applies
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_not_converged(self, monkeypatch):
+        monkeypatch.setattr(shifted, "_HELPER_MIN_WORK", 0)
         before = threading.active_count()
         with pytest.raises(NotConverged):
             solve_shifted(self._ritz_problem(max_restarts=2))
         assert threading.active_count() == before
+
+    def test_no_thread_outlives_an_observer_error(self, monkeypatch):
+        def observer(rec):
+            if rec.cycle == 2:
+                raise KeyError("observer failed")
+
+        monkeypatch.setattr(shifted, "_HELPER_MIN_WORK", 0)
+        started = self._threads_of(monkeypatch, threading.Thread, "start")
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="observer failed"):
+            solve_shifted(self._ritz_problem(), observer=observer)
+        assert len(started) == 1 and threading.active_count() == before
+
+    def test_no_thread_outlives_the_invariant_subspace_finish(self, monkeypatch):
+        # As in test_breakdown_on_invariant_seed_solves_in_one_cycle: block 2
+        # breaks down after the helper formed A V_1, and the call ends in the
+        # exact finish.
+        monkeypatch.setattr(shifted, "_HELPER_MIN_WORK", 0)
+        started = self._threads_of(monkeypatch, threading.Thread, "start")
+        before = threading.active_count()
+        A = FactorizedOperator.from_dense(np.diag(np.arange(1.0, 41.0)))
+        C = np.eye(40)[:, :2]
+        state = solve_shifted(ShiftedProblem(A, C, [0.0, 1.5], m=3, eps=1e-12))
+        assert state.converged.all() and state.restart_count == 1
+        assert len(started) == 1 and threading.active_count() == before
 
 
 class TestSolveShiftedExits:
@@ -469,6 +552,14 @@ class TestSolveShiftedExits:
         for max_restarts in (0, -1, 1.5):
             with pytest.raises(BadConfig, match="max_restarts"):
                 ShiftedProblem(A, C, [0.0], m=2, max_restarts=max_restarts)
+        # A complex, 2-D or non-numeric shift array is refused before a cycle.
+        for shifts in ([0.5 + 1j], np.zeros((2, 2)), ["a"], [[0.0], [1.0]]):
+            with pytest.raises(BadConfig, match="shifts must be a 1-D array of real numbers"):
+                ShiftedProblem(A, C, shifts, m=2)
+        assert_array_equal(ShiftedProblem(A, C, 1, m=2).shifts, [1.0])
+        for bad in (np.ones((30, 1, 1)), C + 1j, 2.0):
+            with pytest.raises(DimensionMismatch, match="real numbers"):
+                ShiftedProblem(A, bad, [0.0], m=2)
 
 
 class TestResidualDirect:
