@@ -13,7 +13,7 @@ from .dense import SMALL_DIM_LIMIT, as_block
 from .ebh import build_T, ebha_run, invariant_projection
 from .eba import eba_run
 from .errors import AssumptionViolated, Breakdown, DimensionMismatch, Overflow
-from .matfun import expm, funm
+from .matfun import expm, funm, funm_symmetric
 from .operators import scaled_laplacian
 
 # Points of [0, 1] at which exp_error_bound samples its coupling term.
@@ -81,9 +81,12 @@ def mf_eba(A, V, m, spec, *, reference=None):
 
 
 def exact_dense(A_small, V, spec):
-    """Reference value f(A)V for a dense A within the small-dimension limit."""
+    """Reference value f(A)V for a dense A within the small-dimension limit:
+    one eigendecomposition if A is exactly symmetric, ``funm`` otherwise."""
     if len(A_small) > SMALL_DIM_LIMIT:
         raise DimensionMismatch(f"n={len(A_small)} exceeds the dense limit {SMALL_DIM_LIMIT}")
+    if np.array_equal(A_small, A_small.T):
+        return funm_symmetric(spec, A_small, V)
     return funm(spec, A_small) @ as_block(V)
 
 

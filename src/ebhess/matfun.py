@@ -8,16 +8,19 @@ and its inverse scaling-and-squaring logarithm (each behind one branch-cut
 check of the spectrum), exp(-sqrt(x)) as expm(-sqrtm(M)), a checked LU
 inverse for the resolvent and negative Laurent powers, and explicit powers
 for positive ones.  Only custom functions take the general path, a complex
-eigendecomposition with a conditioning guard.
+eigendecomposition with a conditioning guard.  The dense references apply f
+to a symmetric matrix through one real eigendecomposition instead
+(:func:`funm_symmetric`).
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import as_block, checked_lu
+from .dense import as_block, checked_lu, singular
 from .errors import (
     BadConfig,
     BranchCutViolation,
@@ -72,8 +75,12 @@ class FunctionSpec:
 
     @classmethod
     def laurent(cls, coeffs):
-        """Laurent polynomial sum(c_j x^j) from a {power: coefficient} mapping."""
-        return cls("laurent", (tuple(sorted((int(k), float(v)) for k, v in dict(coeffs).items())),))
+        """Laurent polynomial sum(c_j x^j) from a {power: coefficient} mapping
+        with integer powers; :class:`BadConfig` otherwise."""
+        coeffs = dict(coeffs)
+        if not all(isinstance(k, numbers.Integral) for k in coeffs):
+            raise BadConfig(f"Laurent powers must be integers, got {list(coeffs)}")
+        return cls("laurent", (tuple(sorted((int(k), float(v)) for k, v in coeffs.items())),))
 
     @classmethod
     def custom(cls, fn):
@@ -173,6 +180,26 @@ def funm(spec, M):
     entry of M raises :class:`Overflow`.
     """
     return _FUNCTIONS[spec.tag][1](_square(M, "funm"), *spec.params)
+
+
+def funm_symmetric(spec, M, V):
+    """f(M) V for a symmetric M by one eigendecomposition, Q f(w) Q^T V, with
+    :func:`funm`'s typed errors: :class:`BranchCutViolation` for an eigenvalue
+    on the branch cut or, by :func:`dense.singular`, at a pole; :class:`Overflow`
+    for a non-finite entry of M or of the result."""
+    what, V = f"funm({spec.tag})", as_block(V)
+    w, Q = np.linalg.eigh(_square(M, what))
+    if spec.tag in ("sqrt", "log", "expnegsqrt"):
+        _check_branch(w, what)
+    if spec.tag == "resolvent":
+        poles = w + spec.params[0]
+    elif spec.tag == "expinvx" or (spec.tag == "laurent" and any(j < 0 for j, _ in spec.params[0])):
+        poles = w
+    else:
+        poles = None
+    if poles is not None and singular(poles):
+        raise BranchCutViolation(f"{what}: an eigenvalue is at a pole")
+    return _finite(what, lambda: Q @ (np.real(spec.scalar_eval(w))[:, None] * (Q.T @ V)))
 
 
 def _inverse(M, pole_message):

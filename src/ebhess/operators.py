@@ -5,14 +5,13 @@ precomputed inverse action ``A^{-1} B``: the inverse is factorized once and
 reused, which is what every driver in this package relies on.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .dense import SMALL_DIM_LIMIT, as_block
 from .errors import (
@@ -120,7 +119,7 @@ class FactorizedOperator:
 
     @classmethod
     def from_dense(cls, M):
-        M = np.asarray(M, dtype=float)
+        M = _real(np.asarray(M)).astype(float, copy=False)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise DimensionMismatch("operator matrix must be square")
         lu, piv = _checked_lu(M)
@@ -134,7 +133,7 @@ class FactorizedOperator:
 
     @classmethod
     def from_sparse(cls, S):
-        S = sp.csr_matrix(S).astype(float)
+        S = _real(sp.csr_matrix(S)).astype(float)
         if S.shape[0] != S.shape[1]:
             raise DimensionMismatch("operator matrix must be square")
         n = S.shape[0]
@@ -144,10 +143,12 @@ class FactorizedOperator:
             solve_fn = lambda B: sla.lu_solve((lu, piv), B)
             structure = "sparse-dense-lu"
         else:
+            from scipy.sparse.linalg import splu  # imported here: it adds ~10 ms to `import ebhess`
+
             try:
                 # Minimum degree on A + A^T leaves about 40% less fill than
                 # the default COLAMD on the 2-D stencils; pivoting stays partial.
-                factor = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                factor = splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
                 raise SingularOperator(str(exc)) from exc
             solve_fn = factor.solve
@@ -159,6 +160,8 @@ class FactorizedOperator:
         """Block diagonal operator with 2x2 blocks [[a_i, c], [-c, a_i]]."""
         a = np.asarray(a, dtype=float)
         c = float(c)
+        if not (np.isfinite(a).all() and np.isfinite(c)):
+            raise SingularOperator("a 2x2 block has a non-finite entry")
         det = a * a + c * c
         if (det == 0.0).any():
             raise SingularOperator("a 2x2 block has zero determinant")
@@ -185,6 +188,14 @@ class FactorizedOperator:
             return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
         return cls(n, apply_fn, solve_fn, sparse_fn, structure="rot2", rot2=(a, c))
+
+
+def _real(M):
+    # M (dense or sparse) unchanged if real; checked before the callers' cast
+    # to float, which would drop an imaginary part with only a ComplexWarning.
+    if M.dtype.kind not in "biuf":
+        raise DimensionMismatch(f"operator matrix must be real, got {M.dtype}")
+    return M
 
 
 def _checked_lu(M):
@@ -224,11 +235,13 @@ def _sym_lambda_max(B):
     # vectors in place of eigsh's default 20 it restarts far less often when
     # the top eigenvalues are close: about 3x less time on tridiag_scaled(5000),
     # whose two largest lie 3e-7 of the spectrum apart.
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # imported here, as in from_sparse
+
     v0 = np.random.default_rng(0xB0B).standard_normal(B.shape[0])
     try:
-        w = spla.eigsh(B, k=1, which="LA", v0=v0, ncv=min(40, B.shape[0]),
-                       return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:
+        w = eigsh(B, k=1, which="LA", v0=v0, ncv=min(40, B.shape[0]),
+                  return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
         raise NoConvergence(f"lambda_max of the symmetric part: {exc}") from exc
     return float(w[0])
 
@@ -318,9 +331,11 @@ _GALLERY = {
 
 def gallery(spec):
     """Build the named operator from a :class:`GallerySpec`."""
-    build = _GALLERY.get(spec.name.lower())
+    build = _GALLERY.get(spec.name.lower()) if isinstance(spec.name, str) else None
     if build is None:
         raise UnknownGallery(f"unknown gallery {spec.name!r}; choose from {','.join(_GALLERY)}")
+    if not isinstance(spec.size, numbers.Integral):
+        raise BadDimension(f"gallery size must be an integer, got {spec.size!r}")
     return build(spec.size)
 
 
@@ -407,6 +422,8 @@ def flop_estimate(n, p, m, nnz):
     ``closed_form`` is the collapsed expression, returned so discrepancies stay
     visible.  Both are exact rationals evaluated in integer arithmetic first.
     """
+    from fractions import Fraction  # imported here: with decimal it adds ~2 ms to `import ebhess`
+
     n, p, m, nnz = (Fraction(int(v)) for v in (n, p, m, nnz))
 
     def c3(cols):  # LU factorization of an n-by-cols block

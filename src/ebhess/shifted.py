@@ -38,7 +38,6 @@ has the same bits with a helper or without.
 
 import contextlib
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,6 +129,8 @@ class CycleRecord:
 def residual_direct(A, C, sigma, X):
     """Frobenius norm of C - (A + sigma I) X computed explicitly (audit path)."""
     C, X = as_block(C), as_block(X)
+    if X.shape != C.shape:
+        raise DimensionMismatch(f"X is {X.shape[0]}x{X.shape[1]}, C is {C.shape[0]}x{C.shape[1]}")
     return float(np.linalg.norm(C - (A.apply(X) + sigma * X)))
 
 
@@ -210,6 +211,8 @@ def solve_shifted(problem, observer=None):
     N = 2 * m * p
     # At most one helper thread per call, joined on every way out of it.
     wants_helper = K * N * (n * p + N * N) >= _HELPER_MIN_WORK
+    if wants_helper:  # imported here: a call without a helper needs no thread pool
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=1) if wants_helper else contextlib.nullcontext() as helper:
         while state.restart_count < problem.max_restarts:
             active = np.where(~(state.converged | frozen))[0]

@@ -14,6 +14,7 @@ from ebhess import (
     ebha_run,
     exact_dense,
     exp_error_bound,
+    funm,
     gallery,
     laurent_apply,
     mf_eba,
@@ -22,7 +23,13 @@ from ebhess import (
     tridiag_reference,
 )
 from ebhess import approx
-from ebhess.errors import AssumptionViolated, DimensionMismatch, NoConvergence, Overflow
+from ebhess.errors import (
+    AssumptionViolated,
+    BranchCutViolation,
+    DimensionMismatch,
+    NoConvergence,
+    Overflow,
+)
 from _util import dissipative_operator, nan_operator, random_block, random_sparse_operator
 
 FIVE = [FunctionSpec.from_name(t) for t in ("exp", "sqrt", "expnegsqrt", "log", "expinvx")]
@@ -204,6 +211,43 @@ class TestExactDense:
         w, Q = np.linalg.eigh(M)
         want = (Q * np.log(w)) @ Q.T @ V
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_symmetric_matrix_skips_funm(self, monkeypatch):
+        def no_funm(*args):
+            raise AssertionError("funm called for a symmetric matrix")
+
+        monkeypatch.setattr(approx, "funm", no_funm)
+        got = exact_dense(np.diag([1.0, 4.0]), np.eye(2), FunctionSpec.sqrt())
+        assert_allclose(got, np.diag([1.0, 2.0]))
+
+    # Each typed error of the eigendecomposition route, on an exactly symmetric
+    # matrix, is the one funm raises on the same matrix.
+    @pytest.mark.parametrize("tag", ["sqrt", "log", "expnegsqrt"])
+    def test_symmetric_branch_cut_is_typed(self, tag):
+        M = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+        spec = FunctionSpec.from_name(tag)
+        with pytest.raises(BranchCutViolation):
+            funm(spec, M)
+        with pytest.raises(BranchCutViolation):
+            exact_dense(M, np.eye(2), spec)
+
+    @pytest.mark.parametrize("spec", [
+        FunctionSpec.exp_neg_over_x(), FunctionSpec.resolvent(-2.0), FunctionSpec.laurent({-1: 1.0}),
+    ], ids=["expinvx", "resolvent", "laurent"])
+    def test_symmetric_pole_is_typed(self, spec):
+        M = np.array([[1.0, 1.0], [1.0, 1.0]])  # eigenvalues 0 and 2
+        with pytest.raises(BranchCutViolation):
+            funm(spec, M)
+        with pytest.raises(BranchCutViolation):
+            exact_dense(M, np.eye(2), spec)
+
+    @pytest.mark.parametrize("M", [np.diag([1000.0, 1.0]), np.diag([np.inf, 1.0])],
+                             ids=["result", "entry"])
+    def test_symmetric_overflow_is_typed(self, M):
+        with pytest.raises(Overflow):
+            funm(FunctionSpec.exp(), M)
+        with pytest.raises(Overflow):
+            exact_dense(M, np.eye(2), FunctionSpec.exp())
 
     def test_size_guard(self, monkeypatch):
         monkeypatch.setattr(approx, "SMALL_DIM_LIMIT", 5)

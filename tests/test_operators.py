@@ -121,6 +121,13 @@ class TestApplySolve:
         with pytest.raises(DimensionMismatch):
             A.solve(np.ones((6, 1)))
 
+    @pytest.mark.parametrize("make", [FactorizedOperator.from_dense, FactorizedOperator.from_sparse],
+                             ids=["from_dense", "from_sparse"])
+    def test_complex_matrix_is_dimension_mismatch(self, make):
+        # Raised before the cast to float, which would drop the imaginary part.
+        with pytest.raises(DimensionMismatch, match="must be real"):
+            make(np.eye(3) * 1j)
+
     def test_singular_operator(self):
         with pytest.raises(SingularOperator):
             FactorizedOperator.from_dense(np.zeros((3, 3)))
@@ -160,6 +167,11 @@ class TestNonFiniteEntries:
             M[3, 7] = bad
             with pytest.raises(SingularOperator, match="non-finite"):
                 make(M)
+
+    @pytest.mark.parametrize("a, c", [([np.nan, 1.0], 0.5), ([1.0, -np.inf], 0.5), ([1.0, 2.0], np.nan)])
+    def test_non_finite_rot2_is_singular_operator(self, a, c):
+        with pytest.raises(SingularOperator, match="non-finite"):
+            FactorizedOperator.from_rot2(np.array(a), c)
 
 
 class TestGallery:
