@@ -26,7 +26,7 @@ class NoConvergence(EbhessError):
 
 
 class SingularOperator(EbhessError):
-    """Factorization of the operator hit a zero pivot."""
+    """The operator has a non-finite entry or is singular by :func:`ebhess.dense.singular`."""
 
 
 class UnknownGallery(EbhessError):

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .dense import SMALL_DIM_LIMIT, as_block
+from .dense import SMALL_DIM_LIMIT, as_block, checked_lu, singular
 from .errors import (
     BadDimension,
     DimensionMismatch,
@@ -32,6 +32,7 @@ _BAND_CUTOFF = 16
 # Routing those through splu instead moved acceptance criterion 1 past its
 # tolerance (worst V^L V identity error 1.4e-11 against the 1e-11 bound).
 _DENSE_FALLBACK_N = 2000
+_SINGULAR = "operator is singular to working precision"
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,8 @@ class FactorizedOperator:
 
     Construct through one of the classmethods; the inverse strategy is chosen
     from the structure: closed-form 2x2 block inverses, dense LU for wide-band
-    operators below n = 2000, sparse LU otherwise.
+    operators below n = 2000, sparse LU otherwise.  Each raises SingularOperator
+    when :func:`ebhess.dense.singular` holds for its pivots or block moduli.
 
     ``apply`` and ``solve`` may run at the same time on two threads:
     ``solve_shifted`` forms A V_c on a helper thread while it forms
@@ -67,9 +69,7 @@ class FactorizedOperator:
     """
 
     def __init__(self, n, apply_fn, solve_fn, sparse_fn, structure, rot2=None):
-        self.n = int(n)
-        if self.n < 1:
-            raise DimensionMismatch(f"operator needs n >= 1, got n={self.n}")
+        self.n = _order(n)
         self.structure = structure
         self.rot2 = rot2  # (a, c) arrays for 2x2 block-diagonal operators
         self._apply = apply_fn
@@ -119,28 +119,19 @@ class FactorizedOperator:
 
     @classmethod
     def from_dense(cls, M):
-        M = _real(np.asarray(M)).astype(float, copy=False)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise DimensionMismatch("operator matrix must be square")
-        lu, piv = _checked_lu(M)
-        return cls(
-            M.shape[0],
-            lambda B: M @ B,
-            lambda B: sla.lu_solve((lu, piv), B),
-            lambda: sp.csr_matrix(M),
-            structure="dense",
-        )
+        """Dense LU of M; refused when :func:`ebhess.dense.singular` holds for its pivots."""
+        M = _checked_matrix(np.asarray(M)).astype(float, copy=False)
+        return cls(M.shape[0], lambda B: M @ B, _dense_lu_solve(M),
+                   lambda: sp.csr_matrix(M), structure="dense")
 
     @classmethod
     def from_sparse(cls, S):
-        S = _real(sp.csr_matrix(S)).astype(float)
-        if S.shape[0] != S.shape[1]:
-            raise DimensionMismatch("operator matrix must be square")
+        """Dense LU below n = 2000 unless banded, else SuperLU; refused as in from_dense."""
+        S = _checked_matrix(sp.csr_matrix(S)).astype(float)
         n = S.shape[0]
         banded = sum(_bandwidths(S)) <= _BAND_CUTOFF
         if not banded and n < _DENSE_FALLBACK_N:
-            lu, piv = _checked_lu(S.toarray())
-            solve_fn = lambda B: sla.lu_solve((lu, piv), B)
+            solve_fn = _dense_lu_solve(S.toarray())
             structure = "sparse-dense-lu"
         else:
             from scipy.sparse.linalg import splu  # imported here: it adds ~10 ms to `import ebhess`
@@ -149,26 +140,28 @@ class FactorizedOperator:
                 # Minimum degree on A + A^T leaves about 40% less fill than
                 # the default COLAMD on the 2-D stencils; pivoting stays partial.
                 factor = splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
-                raise SingularOperator(str(exc)) from exc
+            except RuntimeError as exc:  # an exactly zero pivot, singular by the rule too
+                raise SingularOperator(_SINGULAR) from exc
+            if singular(factor.U.diagonal()):
+                raise SingularOperator(_SINGULAR)
             solve_fn = factor.solve
             structure = "banded" if banded else "sparse"
         return cls(n, lambda B: S @ B, solve_fn, lambda: S, structure=structure)
 
     @classmethod
     def from_rot2(cls, a, c):
-        """Block diagonal operator with 2x2 blocks [[a_i, c], [-c, a_i]]."""
+        """Block diagonal operator with 2x2 blocks [[a_i, c], [-c, a_i]], refused
+        when :func:`ebhess.dense.singular` holds for the block moduli |a_i - ic|."""
         a = np.asarray(a, dtype=float)
         c = float(c)
         if not (np.isfinite(a).all() and np.isfinite(c)):
             raise SingularOperator("a 2x2 block has a non-finite entry")
-        det = a * a + c * c
-        if (det == 0.0).any():
-            raise SingularOperator("a 2x2 block has zero determinant")
-        n = 2 * len(a)
+        n = _order(2 * len(a))
         # In a Fortran-ordered copy of B each row pair (e, o) of a column is
         # one complex number e + io, and the block acts on it as a - ic.
         w = a - 1j * c
+        if singular(np.abs(w)):
+            raise SingularOperator(_SINGULAR)
         w_inv = 1.0 / w
 
         def scaled_by(z):
@@ -190,25 +183,31 @@ class FactorizedOperator:
         return cls(n, apply_fn, solve_fn, sparse_fn, structure="rot2", rot2=(a, c))
 
 
-def _real(M):
-    # M (dense or sparse) unchanged if real; checked before the callers' cast
-    # to float, which would drop an imaginary part with only a ComplexWarning.
+def _order(n):
+    # Tested before any factorization: dense.singular counts an empty diagonal as singular.
+    n = int(n)
+    if n < 1:
+        raise DimensionMismatch(f"operator needs n >= 1, got n={n}")
+    return n
+
+
+def _checked_matrix(M):
+    # M (dense or sparse) unchanged if it is real, square, nonempty and finite.
+    # Checked before the callers' cast to float, which would drop an imaginary
+    # part, and before any branch factors M.
     if M.dtype.kind not in "biuf":
         raise DimensionMismatch(f"operator matrix must be real, got {M.dtype}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch("operator matrix must be square")
+    _order(M.shape[0])
+    if not np.isfinite(M.data if sp.issparse(M) else M).all():
+        raise SingularOperator("operator has non-finite entries")
     return M
 
 
-def _checked_lu(M):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            lu, piv = sla.lu_factor(M)
-        except ValueError as exc:  # scipy's finiteness check
-            raise SingularOperator("operator has non-finite entries") from exc
-    d = np.abs(np.diag(lu))
-    if d.size and d.min() <= np.finfo(float).tiny:
-        raise SingularOperator("zero pivot in LU factorization")
-    return lu, piv
+def _dense_lu_solve(M):
+    factors = checked_lu(M, SingularOperator(_SINGULAR))
+    return lambda B: sla.lu_solve(factors, B)
 
 
 def _bandwidths(S):

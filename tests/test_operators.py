@@ -156,6 +156,51 @@ def test_empty_operator_is_dimension_mismatch(make):
         make()
 
 
+def _with_last_pivot(scale, N=40):
+    # N unit pivots but the last, which sits at scale times the singularity
+    # threshold eps * N * max|d| of ebhess.dense.singular.
+    d = np.ones(N)
+    d[-1] = scale * np.finfo(float).eps * N
+    return d
+
+
+def _dense_far_entry(d):
+    M = np.diag(d)
+    M[0, -1] = 1.0  # a band too wide for "banded"; U keeps the diagonal d
+    return M
+
+
+def _rot2_moduli(d):
+    # Block moduli |a_i - ic| = d_i with c = d[-1] / sqrt(2) in every block.
+    c = d[-1] / np.sqrt(2.0)
+    a = np.sqrt(np.maximum(d * d - c * c, 0.0))
+    return FactorizedOperator.from_rot2(a, c)
+
+
+class TestSingularityBoundary:
+    """Every branch refuses by dense.singular: a smallest pivot (block modulus
+    for rot2) at half the threshold raises, one at twice it builds and solves."""
+
+    BRANCHES = {
+        "dense": lambda d: FactorizedOperator.from_dense(_dense_far_entry(d)),
+        "sparse-dense-lu": lambda d: FactorizedOperator.from_sparse(_dense_far_entry(d)),
+        "banded": lambda d: FactorizedOperator.from_sparse(sp.diags(d, format="csr")),
+        "rot2": _rot2_moduli,
+    }
+
+    @pytest.mark.parametrize("structure", BRANCHES)
+    def test_below_threshold_is_singular(self, structure):
+        with pytest.raises(SingularOperator, match="singular to working precision"):
+            self.BRANCHES[structure](_with_last_pivot(0.5))
+
+    @pytest.mark.parametrize("structure", BRANCHES)
+    def test_above_threshold_builds_and_solves(self, structure):
+        A = self.BRANCHES[structure](_with_last_pivot(2.0))
+        assert A.structure == structure
+        B = np.random.default_rng(1).standard_normal((A.n, 3))
+        assert_allclose(A.solve(B), np.linalg.solve(A.to_dense(), B), rtol=1e-12)
+
+
 class TestNonFiniteEntries:
     @pytest.mark.parametrize("make", [
         FactorizedOperator.from_dense,
@@ -167,6 +212,18 @@ class TestNonFiniteEntries:
             M[3, 7] = bad
             with pytest.raises(SingularOperator, match="non-finite"):
                 make(M)
+
+    @pytest.mark.parametrize("n, far, structure", [(30, 1, "banded"), (2000, 1999, "sparse")],
+                             ids=["banded", "sparse"])
+    def test_non_finite_entry_in_superlu_branch(self, n, far, structure):
+        # Refused before SuperLU, which would call the factor exactly singular.
+        S = sp.eye(n, format="lil") * 2.0
+        S[0, far] = 1.0
+        assert FactorizedOperator.from_sparse(S).structure == structure
+        for bad in (np.nan, np.inf):
+            S[0, far] = bad
+            with pytest.raises(SingularOperator, match="non-finite"):
+                FactorizedOperator.from_sparse(S)
 
     @pytest.mark.parametrize("a, c", [([np.nan, 1.0], 0.5), ([1.0, -np.inf], 0.5), ([1.0, 2.0], np.nan)])
     def test_non_finite_rot2_is_singular_operator(self, a, c):
