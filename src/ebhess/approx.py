@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import SMALL_DIM_LIMIT, as_block
-from .ebh import build_T, ebha_run, invariant_projection
+from .dense import SMALL_DIM_LIMIT
+from .ebh import build_T, ebha_run, invariant_projection, start_block
 from .eba import eba_run
 from .errors import AssumptionViolated, Breakdown, DimensionMismatch, Overflow
 from .matfun import expm, funm, funm_symmetric
@@ -54,10 +54,9 @@ def _finish(app, m, reference, t0):
 def mf_ebh(A, V, m, spec, *, reference=None):
     """Approximate f(A)V with the pivoted extended block Hessenberg method.
 
+    V must pass :func:`ebh.start_block`: :class:`DimensionMismatch` or :class:`Overflow` if not.
     A breakdown on an A-invariant span finishes exactly there; others re-raise.
-    ``reference`` (the exact value, when affordable) fills ``relative_error``.
-    """
-    V = as_block(V)
+    ``reference`` (the exact value, when affordable) fills ``relative_error``."""
     t0 = time.perf_counter()
     try:
         basis = ebha_run(A, V, m)
@@ -71,8 +70,8 @@ def mf_ebh(A, V, m, spec, *, reference=None):
 
 
 def mf_eba(A, V, m, spec, *, reference=None):
-    """Approximate f(A)V with the extended block Arnoldi baseline."""
-    V = as_block(V)
+    """Approximate f(A)V with the extended block Arnoldi baseline; a V outside
+    :func:`ebh.start_block` raises :class:`DimensionMismatch` or :class:`Overflow`."""
     t0 = time.perf_counter()
     basis = eba_run(A, V, m)
     F = funm(spec, basis.T_arnoldi)
@@ -85,9 +84,10 @@ def exact_dense(A_small, V, spec):
     one eigendecomposition if A is exactly symmetric, ``funm`` otherwise."""
     if len(A_small) > SMALL_DIM_LIMIT:
         raise DimensionMismatch(f"n={len(A_small)} exceeds the dense limit {SMALL_DIM_LIMIT}")
+    V = start_block(len(A_small), V)[0]
     if np.array_equal(A_small, A_small.T):
         return funm_symmetric(spec, A_small, V)
-    return funm(spec, A_small) @ as_block(V)
+    return funm(spec, A_small) @ V
 
 
 def rot2_reference(A, V, spec):
@@ -99,7 +99,7 @@ def rot2_reference(A, V, spec):
     if A.rot2 is None:
         raise DimensionMismatch("operator does not carry 2x2 block-diagonal structure")
     a, c = A.rot2
-    V = as_block(V)
+    V = start_block(A.n, V)[0]
     w = spec.scalar_eval(a + 1j * c)
     u, v = np.real(w), np.imag(w)
     Ve, Vo = V[0::2], V[1::2]
@@ -126,14 +126,15 @@ def tridiag_reference(A, V, spec):
         raise Overflow("tridiag_reference: f is not finite on the spectrum")
     from scipy.fft import dst  # imported here: it adds ~40% to `import ebhess`
 
-    W = dst(as_block(V), type=1, norm="ortho", axis=0)
+    W = dst(start_block(A.n, V)[0], type=1, norm="ortho", axis=0)
     return dst(f[:, None] * W, type=1, norm="ortho", axis=0)
 
 
 def reference_matfun(A, V, spec):
     """Best available exact value of f(A)V: blockwise for rot2 operators,
     sine transforms for the scaled 1-D Laplacian, dense evaluation below the
-    small-dimension limit, :class:`DimensionMismatch` otherwise."""
+    small-dimension limit, :class:`DimensionMismatch` otherwise.  A V outside
+    :func:`ebh.start_block` raises :class:`DimensionMismatch` or :class:`Overflow`."""
     if A.rot2 is not None:
         return rot2_reference(A, V, spec)
     if _is_scaled_laplacian(A):

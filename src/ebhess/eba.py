@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dense import BREAKDOWN_TOL
-from .ebh import BlockStore, start_block
+from .ebh import BlockStore, candidate_scale, start_block
 from .errors import Breakdown
 
 
@@ -48,7 +48,7 @@ def eba_run(A, V, m):
     basis-transposed product with A applied to the basis, masked to its block
     upper Hessenberg pattern.
     """
-    V, n, p = start_block(A, V, m)
+    V, n, p = start_block(A.n, V, m)
     U1, lam11 = _qr_normalize(V, 1)
     store = np.empty((n, (2 * m + 1) * p), order="F")
 
@@ -57,7 +57,7 @@ def eba_run(A, V, m):
 
     def extend(k, W):
         # Orthogonalize W against blocks 0..k-1 and store it as block k.
-        raw_scale = np.abs(W).max(initial=0.0)
+        raw_scale = candidate_scale(k + 1, np.abs(W).max(initial=0.0))
         Ub = store[:, : k * p]
         W = W - Ub @ (Ub.T @ W)
         W = W - Ub @ (Ub.T @ W)  # one full reorthogonalization pass

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .dense import as_block, checked_lu, singular
+from .ebh import start_block
 from .errors import (
     BadConfig,
     BranchCutViolation,
@@ -255,7 +256,7 @@ def laurent_apply(coeffs, A, V):
     use the forward product, negative powers the factored inverse action.
     """
     coeffs = dict(FunctionSpec.laurent(coeffs).params[0])
-    V = as_block(V)
+    V = start_block(A.n, V)[0]
     out = np.zeros_like(V)
     if 0 in coeffs:
         out += coeffs[0] * V

@@ -207,7 +207,7 @@ def _checked_matrix(M):
 
 def _dense_lu_solve(M):
     factors = checked_lu(M, SingularOperator(_SINGULAR))
-    return lambda B: sla.lu_solve(factors, B)
+    return lambda B: sla.lu_solve(factors, B, check_finite=False)
 
 
 def _bandwidths(S):

@@ -44,7 +44,7 @@ import numpy as np
 
 from .dense import _gemm, _shifted_gesv, as_block, plu_factor, singular
 from .dense import pivot_block_solve  # noqa: F401  (tracer only)
-from .ebh import ExtendedBasis, basis_fits, build_T, ebha_run, invariant_projection
+from .ebh import ExtendedBasis, basis_fits, build_T, ebha_run, invariant_projection, start_block
 from .errors import (
     BadConfig,
     Breakdown,
@@ -64,7 +64,8 @@ _HELPER_MIN_WORK = 3e7
 
 @dataclass
 class ShiftedProblem:
-    """Shifted block systems (A + sigma I) X = C over a set of shifts."""
+    """Shifted block systems (A + sigma I) X = C over a set of shifts; a C outside
+    :func:`ebh.start_block` raises :class:`DimensionMismatch` or :class:`Overflow`."""
 
     A: object
     C: np.ndarray
@@ -74,7 +75,7 @@ class ShiftedProblem:
     max_restarts: int = 20
 
     def __post_init__(self):
-        self.C = as_block(self.C)
+        self.C = start_block(self.A.n, self.C)[0]
         shifts = np.atleast_1d(np.asarray(self.shifts))
         if shifts.ndim != 1 or shifts.dtype.kind not in "biuf":
             raise BadConfig(
@@ -90,8 +91,6 @@ class ShiftedProblem:
             raise BadConfig(f"m must be an integer >= 1, got {self.m!r}")
         if not (isinstance(self.max_restarts, numbers.Integral) and self.max_restarts >= 1):
             raise BadConfig(f"max_restarts must be an integer >= 1, got {self.max_restarts!r}")
-        if self.C.shape[0] != self.A.n:
-            raise DimensionMismatch("C row count does not match the operator")
 
 
 @dataclass

@@ -254,6 +254,20 @@ class TestExactDense:
         with pytest.raises(DimensionMismatch):
             exact_dense(np.eye(10), np.ones((10, 1)), FunctionSpec.exp())
 
+    @pytest.mark.parametrize("name", ["rot2_blockdiag", "tridiag_scaled", "toeplitz_inv_dist"])
+    def test_reference_follows_the_starting_block_rule(self, name):
+        # Each branch of reference_matfun refuses the blocks the drivers
+        # refuse, with the same typed errors.
+        A, V, f = gallery(GallerySpec(name, 40)), random_block(40, 2, 8), FunctionSpec.sqrt()
+        nan = V.copy()
+        nan[5, 1] = np.nan
+        for bad, error in ((V[:39], DimensionMismatch), (V[:, :0], DimensionMismatch), (nan, Overflow)):
+            with pytest.raises(error):
+                reference_matfun(A, bad, f)
+            for method in (mf_ebh, mf_eba):
+                with pytest.raises(error):
+                    method(A, bad, 2, f)
+
     def test_rot2_reference_matches_dense(self):
         A = gallery(GallerySpec("rot2_blockdiag", size=40))
         V = random_block(40, 2, 8)

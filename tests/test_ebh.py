@@ -14,6 +14,7 @@ from ebhess import (
     build_S,
     build_T,
     build_T_direct,
+    eba_run,
     ebha_run,
     left_apply,
     mf_ebh,
@@ -234,9 +235,11 @@ class TestEbhaRun:
 
     @pytest.mark.parametrize("broken,step", [("apply", 3), ("solve", 2)])
     def test_non_finite_candidate_is_overflow(self, broken, step):
-        # apply first acts on block 1 to give candidate 3; solve on V gives 2.
-        with pytest.raises(Overflow, match=f"candidate block {step} "):
-            ebha_run(nan_operator(40, 2, broken), random_block(40, 2, 2), 2)
+        # apply first acts on block 1 to give candidate 3; solve on V gives 2,
+        # in both processes.
+        for run in (ebha_run, eba_run):
+            with pytest.raises(Overflow, match=f"candidate block {step} "):
+                run(nan_operator(40, 2, broken), random_block(40, 2, 2), 2)
 
     def test_non_finite_apply_candidate_reported_after_its_pair(self):
         # The second pair's A candidate (block 5) is the first non-finite one.

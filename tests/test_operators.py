@@ -230,6 +230,23 @@ class TestNonFiniteEntries:
         with pytest.raises(SingularOperator, match="non-finite"):
             FactorizedOperator.from_rot2(np.array(a), c)
 
+    @pytest.mark.parametrize("make, structure", [
+        (lambda: FactorizedOperator.from_dense(np.eye(30) * 2.0 + 0.01), "dense"),
+        (lambda: random_sparse_operator(30, 1), "sparse-dense-lu"),
+        (lambda: gallery(GallerySpec("tridiag_scaled", 30)), "banded"),
+        (lambda: gallery(GallerySpec("rot2_blockdiag", 30)), "rot2"),
+    ], ids=["dense", "sparse-dense-lu", "superlu", "rot2"])
+    def test_solve_of_a_non_finite_block_is_non_finite(self, make, structure):
+        # Every branch returns NaN or inf in the bad column, as every apply
+        # does, and no error: the drivers' candidate rule names the block.
+        A = make()
+        assert A.structure == structure
+        for bad in (np.nan, np.inf):
+            B = np.random.default_rng(2).random((30, 2))
+            B[4, 0] = bad
+            X = A.solve(B)
+            assert not np.isfinite(X[:, 0]).all() and np.isfinite(X[:, 1]).all()
+
 
 class TestGallery:
     def test_toeplitz_entries_and_symmetry(self):

@@ -21,7 +21,7 @@ from ebhess import (
 )
 from ebhess import shifted
 from ebhess.errors import NotConverged
-from ebhess.errors import BadConfig, Breakdown, DimensionMismatch, ReducedSystemSingular
+from ebhess.errors import BadConfig, Breakdown, DimensionMismatch, Overflow, ReducedSystemSingular
 from _util import random_block, random_sparse_operator
 
 
@@ -560,6 +560,20 @@ class TestSolveShiftedExits:
         for bad in (np.ones((30, 1, 1)), C + 1j, 2.0):
             with pytest.raises(DimensionMismatch, match="real numbers"):
                 ShiftedProblem(A, bad, [0.0], m=2)
+        # C follows the drivers' starting-block rule, checked when the problem is built.
+        for bad, message in ((C[:29], "block is 29x1"), (np.ones((30, 0)), "block is 30x0")):
+            with pytest.raises(DimensionMismatch, match=message):
+                ShiftedProblem(A, bad, [0.0], m=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_c_is_overflow_also_when_too_small(self, bad):
+        # n = 10 < (2m+1)p = 14 takes the invariant-seed finish, whose pivoted
+        # LU must never see the NaN: C is refused when the problem is built.
+        A = gallery(GallerySpec("tridiag_scaled", 10))
+        C = random_block(10, 2, 3)
+        C[4, 1] = bad
+        with pytest.raises(Overflow, match="candidate block 1 has non-finite entries"):
+            solve_shifted(ShiftedProblem(A, C, [0.0, 1.0], m=3))
 
 
 class TestResidualDirect:
