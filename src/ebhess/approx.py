@@ -13,7 +13,7 @@ from .dense import SMALL_DIM_LIMIT
 from .ebh import build_T, ebha_run, invariant_projection, start_block
 from .eba import eba_run
 from .errors import AssumptionViolated, Breakdown, DimensionMismatch, Overflow
-from .matfun import expm, funm, funm_symmetric
+from .matfun import _finite, _square, expm, funm, spectral_values
 from .operators import scaled_laplacian
 
 # Points of [0, 1] at which exp_error_bound samples its coupling term.
@@ -81,13 +81,18 @@ def mf_eba(A, V, m, spec, *, reference=None):
 
 def exact_dense(A_small, V, spec):
     """Reference value f(A)V for a dense A within the small-dimension limit:
-    one eigendecomposition if A is exactly symmetric, ``funm`` otherwise."""
+    Q f(w) Q^T V from one eigendecomposition if A is exactly symmetric, ``funm``
+    otherwise.  :class:`DimensionMismatch` above the limit, the errors of
+    :func:`ebh.start_block` for V and those of :func:`spectral_values` or
+    :func:`funm` for f; :class:`Overflow` for a non-finite entry of A or of the result."""
     if len(A_small) > SMALL_DIM_LIMIT:
         raise DimensionMismatch(f"n={len(A_small)} exceeds the dense limit {SMALL_DIM_LIMIT}")
     V = start_block(len(A_small), V)[0]
-    if np.array_equal(A_small, A_small.T):
-        return funm_symmetric(spec, A_small, V)
-    return funm(spec, A_small) @ V
+    if not np.array_equal(A_small, A_small.T):
+        return _finite("exact_dense", np.matmul, funm(spec, A_small), V)
+    w, Q = np.linalg.eigh(_square(A_small, "exact_dense"))
+    f = spectral_values(spec, w)
+    return _finite("exact_dense", lambda: Q @ (f[:, None] * (Q.T @ V)))
 
 
 def rot2_reference(A, V, spec):
@@ -95,18 +100,19 @@ def rot2_reference(A, V, spec):
 
     Each block [[a, c], [-c, a]] represents the complex number a + ic, so
     f acts blockwise through the scalar values u + iv = f(a + ic).
+    :class:`DimensionMismatch` for another operator, the errors of
+    :func:`ebh.start_block` for V and those of :func:`spectral_values` for f;
+    :class:`Overflow` for a non-finite entry of the result.
     """
     if A.rot2 is None:
         raise DimensionMismatch("operator does not carry 2x2 block-diagonal structure")
     a, c = A.rot2
     V = start_block(A.n, V)[0]
-    w = spec.scalar_eval(a + 1j * c)
-    u, v = np.real(w), np.imag(w)
-    Ve, Vo = V[0::2], V[1::2]
-    out = np.empty_like(V)
-    out[0::2] = u[:, None] * Ve + v[:, None] * Vo
-    out[1::2] = -v[:, None] * Ve + u[:, None] * Vo
-    return out
+    w = spectral_values(spec, a + 1j * c)
+    u, v = w.real[:, None], w.imag[:, None]
+    Ve, Vo = V[0::2], V[1::2]  # the result's rows 2i and 2i+1 are interleaved below
+    return _finite("rot2_reference", lambda: np.stack(
+        (u * Ve + v * Vo, -v * Ve + u * Vo), axis=1).reshape(V.shape))
 
 
 def _is_scaled_laplacian(A):
@@ -116,18 +122,18 @@ def _is_scaled_laplacian(A):
 
 def tridiag_reference(A, V, spec):
     """Exact f(A)V for n^2 tridiag(-1, 2, -1) by two orthonormal DST-I
-    transforms around its eigenvalues n^2 (2 - 2 cos(k pi/(n+1)))."""
+    transforms around its eigenvalues n^2 (2 - 2 cos(k pi/(n+1))).
+    :class:`DimensionMismatch` for another operator, the errors of
+    :func:`spectral_values` for f and those of :func:`ebh.start_block` for V;
+    :class:`Overflow` for a non-finite entry of the result."""
     if not _is_scaled_laplacian(A):
         raise DimensionMismatch("operator is not n^2 tridiag(-1, 2, -1)")
     lam = A.n**2 * (2.0 - 2.0 * np.cos(np.arange(1, A.n + 1) * np.pi / (A.n + 1)))
-    with np.errstate(all="ignore"):  # a non-finite value becomes our typed error below
-        f = np.real(spec.scalar_eval(lam))
-    if not np.isfinite(f).all():
-        raise Overflow("tridiag_reference: f is not finite on the spectrum")
+    f = spectral_values(spec, lam)
     from scipy.fft import dst  # imported here: it adds ~40% to `import ebhess`
 
     W = dst(start_block(A.n, V)[0], type=1, norm="ortho", axis=0)
-    return dst(f[:, None] * W, type=1, norm="ortho", axis=0)
+    return _finite("tridiag_reference", lambda: dst(f[:, None] * W, type=1, norm="ortho", axis=0))
 
 
 def reference_matfun(A, V, spec):

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import cython_blas, cython_lapack
 
-from .errors import DimensionMismatch, RankDeficient, SingularPivotBlock
+from .errors import DimensionMismatch, Overflow, RankDeficient, SingularPivotBlock
 
 # Dense evaluation is meant for projected matrices and desk-scale oracles.
 SMALL_DIM_LIMIT = 4096
@@ -75,7 +75,7 @@ def plu_factor(M):
 
     ``M`` is an (n, p) block with n >= p.  A pivot of magnitude below
     ``BREAKDOWN_TOL * max|column|`` raises :class:`RankDeficient`,
-    signalling breakdown to the caller.
+    signalling breakdown to the caller; a NaN or inf entry raises :class:`Overflow`.
     """
     M = as_block(M)
     n, p = M.shape
@@ -96,7 +96,7 @@ def _plu_in_place(lu):
     p = lu.shape[1]
     colmax = column_max(lu)
     if not np.isfinite(colmax).all():
-        raise ValueError("matrix contains non-finite entries")
+        raise Overflow("matrix contains non-finite entries")
     # getrf overwrites lu (exact zero pivots, info > 0, fail the pivot test).
     piv = sla.lapack.dgetrf(lu, overwrite_a=1)[1]
     bad = np.abs(lu.diagonal()) <= BREAKDOWN_TOL * np.maximum(colmax, _TINY)

@@ -186,7 +186,7 @@ def ebha_run(A, V, m, _helper=None):
             upper, rows, colmax = _plu_in_place(blocks[step - 1])
         except RankDeficient as exc:
             raise Breakdown(step) from exc
-        except ValueError as exc:
+        except Overflow as exc:
             raise Overflow(f"projected block {step} has non-finite entries") from exc
         # Compare the projected candidate against the scale it had before
         # projection: a candidate swallowed by the earlier blocks is the

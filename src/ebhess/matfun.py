@@ -8,9 +8,9 @@ and its inverse scaling-and-squaring logarithm (each behind one branch-cut
 check of the spectrum), exp(-sqrt(x)) as expm(-sqrtm(M)), a checked LU
 inverse for the resolvent and negative Laurent powers, and explicit powers
 for positive ones.  Only custom functions take the general path, a complex
-eigendecomposition with a conditioning guard.  The dense references apply f
-to a symmetric matrix through one real eigendecomposition instead
-(:func:`funm_symmetric`).
+eigendecomposition with a conditioning guard.  The exact references evaluate
+f on a known spectrum instead, with the same typed errors
+(:func:`spectral_values`).
 """
 
 import numbers
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import as_block, checked_lu, singular
+from .dense import checked_lu, singular
 from .ebh import start_block
 from .errors import (
     BadConfig,
@@ -183,24 +183,21 @@ def funm(spec, M):
     return _FUNCTIONS[spec.tag][1](_square(M, "funm"), *spec.params)
 
 
-def funm_symmetric(spec, M, V):
-    """f(M) V for a symmetric M by one eigendecomposition, Q f(w) Q^T V, with
-    :func:`funm`'s typed errors: :class:`BranchCutViolation` for an eigenvalue
-    on the branch cut or, by :func:`dense.singular`, at a pole; :class:`Overflow`
-    for a non-finite entry of M or of the result."""
-    what, V = f"funm({spec.tag})", as_block(V)
-    w, Q = np.linalg.eigh(_square(M, what))
+def spectral_values(spec, w):
+    """f(w) on the known eigenvalues ``w`` of a matrix, real for a real ``w``, with
+    :func:`funm`'s typed errors: :class:`BranchCutViolation` for an eigenvalue on
+    the branch cut of sqrt, log or exp(-sqrt(x)) or, by :func:`dense.singular`, at
+    a pole of exp(-x)/x, the resolvent or a negative Laurent power;
+    :class:`Overflow` for a non-finite value."""
+    what, w = f"{spec.tag} on the spectrum", np.asarray(w)
     if spec.tag in ("sqrt", "log", "expnegsqrt"):
         _check_branch(w, what)
-    if spec.tag == "resolvent":
-        poles = w + spec.params[0]
-    elif spec.tag == "expinvx" or (spec.tag == "laurent" and any(j < 0 for j, _ in spec.params[0])):
-        poles = w
-    else:
-        poles = None
-    if poles is not None and singular(poles):
+    has_poles = spec.tag in ("expinvx", "resolvent") or (
+        spec.tag == "laurent" and any(j < 0 for j, _ in spec.params[0]))
+    if has_poles and singular(w + spec.params[0] if spec.tag == "resolvent" else w):
         raise BranchCutViolation(f"{what}: an eigenvalue is at a pole")
-    return _finite(what, lambda: Q @ (np.real(spec.scalar_eval(w))[:, None] * (Q.T @ V)))
+    f = _finite(what, spec.scalar_eval, w)
+    return f if np.iscomplexobj(w) else np.real(f)
 
 
 def _inverse(M, pole_message):

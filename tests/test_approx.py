@@ -276,6 +276,27 @@ class TestExactDense:
             slow = exact_dense(A.to_dense(), V, spec)
             assert np.linalg.norm(fast - slow) <= 1e-9 * np.linalg.norm(slow)
 
+    # Each typed error of the rot2 closed form is the dense route's on
+    # A.to_dense(): funm's where f fails on the spectrum, exact_dense's also
+    # where f is finite there but f(A)V overflows.
+    @pytest.mark.parametrize("a,c,spec,scale,error", [
+        ([800.0, 1.0], 0.5, FunctionSpec.exp(), 1.0, Overflow),
+        ([709.5, 1.0], 0.5, FunctionSpec.exp(), 10.0, Overflow),
+        ([-2.0, 1.0], 0.0, FunctionSpec.sqrt(), 1.0, BranchCutViolation),
+        ([-2.0, 1.0], 0.0, FunctionSpec.log(), 1.0, BranchCutViolation),
+        ([-0.5, 1.0], 0.0, FunctionSpec.resolvent(0.5), 1.0, BranchCutViolation),
+    ], ids=["exp", "exp-output", "sqrt", "log", "resolvent-pole"])
+    def test_rot2_reference_errors_are_the_dense_ones(self, a, c, spec, scale, error):
+        A = FactorizedOperator.from_rot2(a, c)
+        V = np.full((4, 1), scale)
+        with pytest.raises(error):
+            approx.rot2_reference(A, V, spec)
+        with pytest.raises(error):
+            exact_dense(A.to_dense(), V, spec)
+        if scale == 1.0:
+            with pytest.raises(error):
+                funm(spec, A.to_dense())
+
 
 class TestTridiagReference:
     def test_matches_dense(self):

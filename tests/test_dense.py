@@ -11,6 +11,7 @@ from ebhess.ebh import _inv_upper
 from ebhess.errors import (
     BranchCutViolation,
     DimensionMismatch,
+    Overflow,
     RankDeficient,
     SingularCoefficient,
     SingularPivotBlock,
@@ -125,9 +126,9 @@ class TestPluFactor:
     def test_non_finite_entry_raises(self, bad):
         M = np.asfortranarray(np.random.default_rng(3).standard_normal((10, 2)))
         M[7, 1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(Overflow, match="non-finite"):
             plu_factor(M)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(Overflow, match="non-finite"):
             _plu_in_place(M)
 
     def test_read_only_input(self):
@@ -148,7 +149,7 @@ class TestPluFactor:
     def test_shape_guards(self):
         with pytest.raises(DimensionMismatch):
             plu_factor(np.ones((2, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(Overflow):
             plu_factor(np.array([[np.nan], [1.0]]))
 
 

@@ -21,9 +21,11 @@ from hypothesis import strategies as st
 from ebhess import (
     FactorizedOperator,
     FunctionSpec,
+    GallerySpec,
     ShiftedProblem,
     eba_run,
     ebha_run,
+    gallery,
     mf_eba,
     mf_ebh,
     reference_matfun,
@@ -39,6 +41,11 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 
 
 def make_operator(kind, n, rng):
+    if kind == "rot2":  # blocks a_i +- ic: |a_i| in [0.1, 1000] of either sign, c = 0 or drawn alike
+        a = rng.choice([-1.0, 1.0], n // 2) * 10.0 ** rng.uniform(-1, 3, n // 2)
+        return FactorizedOperator.from_rot2(a, rng.choice([0.0, -1.0, 1.0]) * 10.0 ** rng.uniform(-1, 3))
+    if kind == "tridiag":  # n^2 tridiag(-1, 2, -1), served by the sine-transform reference
+        return gallery(GallerySpec("tridiag_scaled", n))
     if kind == "dense":  # Gaussian plus sqrt(n) I
         return FactorizedOperator.from_dense(rng.standard_normal((n, n)) + np.sqrt(n) * np.eye(n))
     if kind == "sparse":  # random sparse plus a diagonal shift past its row sums
@@ -53,14 +60,14 @@ def make_operator(kind, n, rng):
 def problems(draw):
     """An operator, an (n, p) block with one NaN or infinite entry in some
     draws, m, a function and 1-5 shifts on [0, 5]."""
-    kind = draw(st.sampled_from(["dense", "sparse", "spd+", "spd-"]))
+    kind = draw(st.sampled_from(["dense", "sparse", "spd+", "spd-", "rot2", "tridiag"]))
     n, p, m = draw(st.integers(4, 59)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = make_operator(kind, n, rng)
-    V = rng.standard_normal((n, p))
+    V = rng.standard_normal((A.n, p))
     bad = draw(st.sampled_from([None] * 6 + [np.nan, np.inf, -np.inf]))
     if bad is not None:
-        V[draw(st.integers(0, n - 1)), draw(st.integers(0, p - 1))] = bad
+        V[draw(st.integers(0, A.n - 1)), draw(st.integers(0, p - 1))] = bad
     spec = draw(st.sampled_from(SPECS))
     shifts = draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=5))
     return A, V, m, spec, shifts

@@ -575,6 +575,15 @@ class TestSolveShiftedExits:
         with pytest.raises(Overflow, match="candidate block 1 has non-finite entries"):
             solve_shifted(ShiftedProblem(A, C, [0.0, 1.0], m=3))
 
+    def test_c_changed_after_construction_is_overflow_when_too_small(self):
+        # A NaN written into C after the problem was built reaches the
+        # invariant-seed finish; its pivoted LU refuses it with the typed error.
+        A = gallery(GallerySpec("tridiag_scaled", 10))
+        problem = ShiftedProblem(A, random_block(10, 2, 3), [0.0, 1.0], m=3)
+        problem.C[4, 1] = np.nan
+        with pytest.raises(Overflow, match="non-finite"):
+            solve_shifted(problem)
+
 
 class TestResidualDirect:
     def test_exact_solution_gives_zero(self):
