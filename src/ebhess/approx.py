@@ -122,13 +122,14 @@ def _is_scaled_laplacian(A):
 
 def tridiag_reference(A, V, spec):
     """Exact f(A)V for n^2 tridiag(-1, 2, -1) by two orthonormal DST-I
-    transforms around its eigenvalues n^2 (2 - 2 cos(k pi/(n+1))).
+    transforms around its eigenvalues 4 n^2 sin^2(k pi/(2(n+1))), the form of
+    n^2 (2 - 2 cos(k pi/(n+1))) without its cancellation in the low modes.
     :class:`DimensionMismatch` for another operator, the errors of
     :func:`spectral_values` for f and those of :func:`ebh.start_block` for V;
     :class:`Overflow` for a non-finite entry of the result."""
     if not _is_scaled_laplacian(A):
         raise DimensionMismatch("operator is not n^2 tridiag(-1, 2, -1)")
-    lam = A.n**2 * (2.0 - 2.0 * np.cos(np.arange(1, A.n + 1) * np.pi / (A.n + 1)))
+    lam = 4.0 * A.n**2 * np.sin(np.arange(1, A.n + 1) * (np.pi / (2 * (A.n + 1)))) ** 2
     f = spectral_values(spec, lam)
     from scipy.fft import dst  # imported here: it adds ~40% to `import ebhess`
 

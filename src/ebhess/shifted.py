@@ -7,6 +7,8 @@ cycle restarts from the (2m+1)-th basis block, which carries every residual.
 A shift whose reduced system is singular (sigma on a Ritz value) has no
 residual in that block, so it is frozen and not solved again, and the solve
 ends with ``ReducedSystemSingular`` once no other shift is left to solve.
+A basis that breaks down on an A-invariant span, or an operator too small
+for m steps, makes the loop's last pass an exact solve on that span.
 
 The per-shift work is only one LAPACK dgesv of the small shifted matrix.
 Each cycle forms every right-hand side in one product, solves the reduced
@@ -167,9 +169,14 @@ def solve_shifted(problem, observer=None):
     residual history, and is never solved again.  The cycles go on while an
     unconverged shift is not frozen and the restart cap is not hit.
     ``observer``, when given, is called with a :class:`CycleRecord` after
-    every cycle.  A breakdown on an A-invariant span finishes exactly there,
-    where a shift with a singular projection is frozen the same way; others
-    re-raise.
+    every cycle but the exact pass.  That pass is the loop's last: it runs
+    when ``ebha_run`` breaks down, on the blocks before the breakdown, and
+    at once, on the seed's block, when the operator is too small for m
+    steps.  Unless those blocks span an A-invariant subspace it raises the
+    breakdown, or :class:`DimensionMismatch` for the seed's block.  Else T
+    is :func:`ebh.invariant_projection`'s and the shifts are solved and
+    frozen as in a cycle, but a shift's update reaches X only when its
+    direct residual, which its history records either way, is below eps.
 
     Raises :class:`ReducedSystemSingular`, naming the first frozen shift, if
     any shift was frozen, else :class:`NotConverged` if the restart cap is hit
@@ -197,15 +204,17 @@ def solve_shifted(problem, observer=None):
     # in the frame of the seed it was frozen on.
     seed = C
     frozen = np.zeros(K, dtype=bool)
-
+    # The basis of the exact pass, which ends the loop, and the error it raises
+    # unless that basis spans an A-invariant subspace.  An operator too small
+    # for m steps has only the seed's block: the loop starts with that pass.
+    finish = None
     if not basis_fits(n, p, m):
         try:
             f = plu_factor(seed)
         except RankDeficient as exc:
             raise Breakdown(1) from exc
-        b = ExtendedBasis(n, p, m, f.permuted_unit_lower, [f.pivot_rows], np.zeros((p, 0)), f.upper)
-        return _invariant_subspace_solve(problem, state, frozen, b, DimensionMismatch(
-            "operator too small for m steps and seed subspace is not invariant"))
+        finish = (ExtendedBasis(n, p, m, f.permuted_unit_lower, [f.pivot_rows], np.zeros((p, 0)), f.upper),
+                  DimensionMismatch("operator too small for m steps and seed subspace is not invariant"))
 
     N = 2 * m * p
     # At most one helper thread per call, joined on every way out of it.
@@ -217,36 +226,42 @@ def solve_shifted(problem, observer=None):
             active = np.where(~(state.converged | frozen))[0]
             if len(active) == 0:
                 break
-            try:
-                basis = ebha_run(A, seed, m, _helper=helper)
-            except Breakdown as exc:
-                return _invariant_subspace_solve(problem, state, frozen, exc.basis, exc)
-            proj = build_T(basis)
-            Vb = basis.matrix(2 * m)
-            next_seed = basis.blocks[2 * m]
-            # ||next_seed @ beta||_F = ||R @ beta||_F for next_seed = Q R.
-            R_next = np.linalg.qr(next_seed, mode="r")
-            T = np.asfortranarray(proj.T)
+            if finish is None:
+                try:
+                    basis = ebha_run(A, seed, m, _helper=helper)
+                except Breakdown as exc:
+                    finish = exc.basis, exc
+            if finish is None:
+                proj = build_T(basis)
+                Vb = basis.matrix(2 * m)
+                next_seed = basis.blocks[2 * m]
+                # ||next_seed @ beta||_F = ||R @ beta||_F for next_seed = Q R.
+                R_next = np.linalg.qr(next_seed, mode="r")
+                T = np.asfortranarray(proj.T)
+            else:  # the exact pass: T is exact on an invariant span, else the error is raised
+                basis = finish[0]
+                T = np.asfortranarray(invariant_projection(A, *finish))
+                Vb = basis.store
 
             # Shift k solves in columns k*p:(k+1)*p.  The matrix is not reused,
             # so the observer's Y stay valid after the cycle.
-            Ycyc = np.empty((N, K * p), order="F")
+            Ycyc = np.empty((len(T), K * p), order="F")
             Ycyc[p:] = 0.0  # every right-hand side is zero below row p
             # Every active shift's right-hand side g11 beta in one product.
-            Ycyc.reshape(N, p, K, order="F")[:p, :, active] = \
+            Ycyc.reshape(len(T), p, K, order="F")[:p, :, active] = \
                 (basis.gamma11 @ state.beta0[active]).transpose(1, 2, 0)
 
             def solve(ks):
-                # Solve each shift's reduced system in its columns of Ycyc, then add
-                # the lift of each maximal run of consecutive solved shifts into
-                # those columns of X with one GEMM over all n rows.  Returns whether
-                # each shift was singular (then not lifted) and the runs.  May run
-                # on the helper thread, so it writes nothing but its own buffers
-                # and its shifts' columns of Ycyc and X.
+                # Solve each shift's reduced system in its columns of Ycyc, then, in
+                # a cycle, add the lift of each maximal run of consecutive solved
+                # shifts into those columns of X with one GEMM over all n rows.
+                # Returns whether each shift was singular (then not lifted) and the
+                # runs.  May run on the helper thread, so it writes nothing but its
+                # own buffers and its shifts' columns of Ycyc and X.
                 unsolved = singular(_shifted_gesv(T, sigmas[ks], ks, Ycyc, p))
                 solved = ks[~unsolved]
                 runs = np.split(solved, np.flatnonzero(np.diff(solved) != 1) + 1) if len(solved) else []
-                for run in runs:
+                for run in runs if finish is None else ():
                     cols = slice(run[0] * p, (run[-1] + 1) * p)
                     _gemm(Vb, Ycyc[:, cols], Xmat[:, cols], 1.0)
                 return unsolved, runs
@@ -267,6 +282,17 @@ def solve_shifted(problem, observer=None):
                     state.residual_history[k].append(np.inf)
                 else:
                     Yrec[k] = Ycyc[:, k * p : (k + 1) * p]
+            if finish is not None:
+                # The exact pass commits a shift's lift to X only when its direct
+                # residual is below eps (so not NaN): nothing else may pollute X.
+                for k, Y in Yrec.items():
+                    X_trial = state.X[k] + Vb @ Y
+                    res = residual_direct(A, C, sigmas[k], X_trial)
+                    state.residual_history[k].append(res)
+                    if res < problem.eps:
+                        state.X[k], state.converged[k] = X_trial, True
+                state.restart_count += 1
+                break
             # Each run takes its next residual coordinates beta = -tau Y[-2p:] and
             # their norms ||next_seed beta||_F together.
             for run in runs:
@@ -288,46 +314,10 @@ def solve_shifted(problem, observer=None):
             del proj, Vb, Ycyc, Yrec
             seed = next_seed.copy(order="F")
             del basis, next_seed
-        return _outcome(problem, state, frozen)
 
-
-def _invariant_subspace_solve(problem, state, frozen, basis, error):
-    """Solve every shift exactly on ``basis`` (the blocks before a breakdown, or
-    the seed's block) if they span an A-invariant subspace, else raise ``error``;
-    a shift whose shifted projection is singular is frozen.  Then end as
-    :func:`_outcome` says."""
-    T = np.asfortranarray(invariant_projection(problem.A, basis, error))
-    p = basis.p
-    # A frozen shift's beta0 is in the frame of an earlier seed, not this basis's.
-    ks = np.where(~(state.converged | frozen))[0]
-    # The i-th of them solves in columns i*p:(i+1)*p.
-    Y = np.zeros((len(T), len(ks) * p), order="F")
-    Y.reshape(len(T), p, len(ks), order="F")[:p] = \
-        (basis.gamma11 @ state.beta0[ks]).transpose(1, 2, 0)
-    unsolved = singular(_shifted_gesv(T, problem.shifts[ks], np.arange(len(ks)), Y, p))
-    for i, k in enumerate(ks):
-        if unsolved[i]:
-            frozen[k] = True
-            state.residual_history[k].append(np.inf)
-            continue
-        # Commit only updates that actually converge: the projection here is
-        # exact, so anything else must not pollute X.
-        X_trial = state.X[k] + basis.store @ Y[:, i * p : (i + 1) * p]
-        res = residual_direct(problem.A, problem.C, problem.shifts[k], X_trial)
-        if np.isfinite(res) and res < problem.eps:
-            state.X[k] = X_trial
-            state.residual_history[k].append(res)
-            state.converged[k] = True
-    state.restart_count += 1
-    return _outcome(problem, state, frozen)
-
-
-def _outcome(problem, state, frozen):
-    """``state`` if every shift converged; else raise :class:`ReducedSystemSingular`
-    naming the first frozen shift, if any, or :class:`NotConverged`."""
-    unconverged = problem.shifts[~state.converged]
+    unconverged = sigmas[~state.converged]
     if frozen.any():
-        raise ReducedSystemSingular(problem.shifts[frozen][0], unconverged, state)
+        raise ReducedSystemSingular(sigmas[frozen][0], unconverged, state)
     if len(unconverged):
         raise NotConverged(unconverged, state)
     return state

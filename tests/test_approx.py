@@ -331,6 +331,19 @@ class TestTridiagReference:
         with pytest.raises(DimensionMismatch):
             reference_matfun(other, V, spec)  # no exact reference above the dense limit
 
+    def test_lowest_mode_matches_mpmath(self):
+        # On the lowest eigenvector s1 the reference is sqrt(lambda_1) s1, with
+        # lambda_1 = 4 n^2 sin^2(pi/(2(n+1))) to 40 digits.  The form
+        # n^2 (2 - 2 cos(pi/(n+1))) loses 4e-7 of lambda_1 to cancellation here.
+        mpmath = pytest.importorskip("mpmath")
+        n = 230000
+        with mpmath.workdps(40):
+            want = float(mpmath.sqrt(4 * n**2 * mpmath.sin(mpmath.pi / (2 * (n + 1))) ** 2))
+        s1 = np.sin(np.arange(1, n + 1) * np.pi / (n + 1))
+        s1 /= np.linalg.norm(s1)
+        got = s1 @ tridiag_reference(gallery(GallerySpec("tridiag_scaled", n)), s1, FunctionSpec.sqrt())
+        assert abs(got[0] - want) <= 1e-13 * want
+
     def test_overflow_is_typed(self):
         A = gallery(GallerySpec("tridiag_scaled", size=5000))
         with pytest.raises(Overflow):
@@ -382,3 +395,11 @@ class TestMonotoneImprovement:
             e10 = mf_ebh(A, V, 10, spec, reference=ref).relative_error
             e15 = mf_ebh(A, V, 15, spec, reference=ref).relative_error
             assert e15 <= e10, f"{gname}/{spec.tag}: {e15} > {e10}"
+
+
+@pytest.mark.parametrize("make", [lambda: random_sparse_operator(10, 0),
+                                  lambda: gallery(GallerySpec("tridiag_scaled", 10))],
+                         ids=["sparse", "tridiag"])
+def test_rot2_reference_needs_a_rot2_operator(make):
+    with pytest.raises(DimensionMismatch, match="2x2 block-diagonal structure"):
+        approx.rot2_reference(make(), random_block(10, 1, 0), FunctionSpec.exp())

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from ebhess import GallerySpec, ShiftedProblem, gallery, residual_direct, solve_shifted
 from ebhess.cli import build_parser, main
 from ebhess import cli
-from ebhess.errors import ReducedSystemSingular
+from ebhess.errors import BadConfig, ReducedSystemSingular
 
 
 def _read_csv(path):
@@ -458,3 +458,29 @@ class TestInputRules:
         cfg = tmp_path / "shared.cfg"
         cfg.write_text("gallery=rot2\nn=40\np=2\nm=2\nfuncs=exp\nrepeat=1\neps=0\n")
         assert main(["matfun", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+
+
+def _run(argv):
+    # The command's runner on the resolved arguments, as main calls it, so
+    # that its typed error reaches the test instead of exit status 2.
+    args = build_parser().parse_args(argv)
+    cli.COMMANDS[args.command][0](cli._resolve(args))
+
+
+_ROT2 = ["matfun", "--gallery", "rot2", "--n", "40", "--p", "1", "--repeat", "1"]
+_SHIFTED = ["shifted", "--gallery", "tridiag", "--n", "40", "--p", "1", "--m", "2", "--repeat", "1"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["matfun", "--p", "1", "--m", "1", "--out", "{tmp}/x.csv"], "either --gallery or --input"),
+    (["flops", "--n", "0", "--p", "1", "--m", "1", "--nnz", "0"], "flops needs positive n"),
+    (_ROT2 + ["--m", "2,x", "--out", "{tmp}/x.csv"], "bad integer list"),
+    (_ROT2 + ["--funcs", "exp,cosh", "--out", "{tmp}/x.csv"], "unknown function 'cosh'"),
+    (_SHIFTED + ["--shifts", "0:5", "--out", "{tmp}/x.csv"], "bad shift range '0:5'"),
+    (_SHIFTED + ["--shifts", "0:5:two", "--out", "{tmp}/x.csv"], "bad shift range '0:5:two'"),
+    (_ROT2 + ["--m", "2"], "matfun needs --out"),
+], ids=["no-operator", "flops-n", "int-list", "function-name", "shift-parts", "shift-count",
+        "no-out"])
+def test_bad_arguments_are_bad_config(tmp_path, argv, message):
+    with pytest.raises(BadConfig, match=message):
+        _run([a.format(tmp=tmp_path) for a in argv])

@@ -646,3 +646,18 @@ class TestPowerIdentities:
                 lhs = A.solve(lhs)
             rhs = Vb @ np.linalg.solve(np.linalg.matrix_power(proj.T, j), E1)
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(np.linalg.norm(lhs), 1e-30)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    # A^{-1} V = 1e308 (e1 + e2) is finite, but projecting it against
+    # V_1 = e1 - e2 doubles its second entry past the largest double.
+    (lambda: ebha_run(FactorizedOperator.from_dense(np.diag([1e-308, -1e-308, 1e-308, 1e-308])),
+                      np.array([[1.0], [-1.0], [0.0], [0.0]]), 1),
+     Overflow, "projected block 2 has non-finite entries"),
+    (lambda: left_apply(ebha_run(random_sparse_operator(30, 1), random_block(30, 1, 1), 2),
+                        np.ones((29, 1)), 2),
+     DimensionMismatch, "W has 29 rows, basis has 30"),
+], ids=["projected-overflow", "left-apply-rows"])
+def test_rare_input_errors_are_typed(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from ebhess import matfun
 from ebhess import FactorizedOperator, FunctionSpec, expm, funm, laurent_apply, logm, sqrtm
 from ebhess.errors import BranchCutViolation, IllConditionedEigenbasis, Overflow
-from ebhess.errors import BadConfig
+from ebhess.errors import BadConfig, DimensionMismatch
 
 
 class TestExpm:
@@ -293,3 +293,10 @@ class TestLaurentApply:
             + 0.7 * Ad @ Ad @ V
         )
         assert_allclose(laurent_apply(coeffs, A, V), want, atol=1e-10)
+
+
+@pytest.mark.parametrize("kernel", [expm, sqrtm, logm, lambda M: funm(FunctionSpec.exp(), M)],
+                         ids=["expm", "sqrtm", "logm", "funm"])
+def test_non_square_matrix_is_dimension_mismatch(kernel):
+    with pytest.raises(DimensionMismatch, match="expects a square matrix"):
+        kernel(np.ones((2, 3)))

@@ -492,3 +492,35 @@ class TestFlopEstimate:
         summed, closed = flop_estimate(100, 5, 3, 500)
         # the two forms may legitimately disagree; both must be positive
         assert summed > 0 and closed > 0
+
+
+def _mtx(text):
+    # read_matrix_market of a file holding ``text``, under a test's tmp_path.
+    def read(tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text(text)
+        return read_matrix_market(str(path))
+    return read
+
+
+_REAL_GENERAL = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda tmp_path: FactorizedOperator.from_dense(np.ones((2, 3))), DimensionMismatch,
+     "must be square"),
+    (_mtx("%%MatrixMarket matrix coordinate real\n1 1 1\n"), ParseError, "banner must name"),
+    (_mtx("%%MatrixMarket vector coordinate real general\n1 1 1\n"), UnsupportedField, "object"),
+    (_mtx("%%MatrixMarket matrix array real general\n1 1\n"), UnsupportedField, "format"),
+    (_mtx("%%MatrixMarket matrix coordinate real skew-symmetric\n1 1 1\n"), UnsupportedField,
+     "symmetry"),
+    (_mtx(_REAL_GENERAL + "% only a comment\n"), ParseError, "missing size line"),
+    (_mtx(_REAL_GENERAL + "2 2\n"), ParseError, "bad size line"),
+    (_mtx(_REAL_GENERAL + "2 2 x\n"), ParseError, "bad size line"),
+    (_mtx(_REAL_GENERAL + "2 3 1\n1 1 1.0\n"), ParseError, "only square"),
+    (_mtx(_REAL_GENERAL + "2 2 -1\n"), ParseError, "bad size line"),
+], ids=["non-square", "short-banner", "object", "format", "symmetry", "no-size-line",
+        "two-sizes", "non-integer-size", "non-square-file", "negative-nnz"])
+def test_rare_input_errors_are_typed(tmp_path, make, error, message):
+    with pytest.raises(error, match=message):
+        make(tmp_path)

@@ -493,6 +493,35 @@ class TestSolveShiftedExits:
         assert_array_equal(state.converged, [False, True])
         assert residual_direct(A, C, 0.5, state.X[1]) == 0.0
 
+    def test_failed_exact_audit_is_recorded_not_committed(self):
+        # span{e1, e2} is invariant under A, whose leading 2x2 block is
+        # nonsymmetric, so block 2 breaks down and the exact pass solves each
+        # shift on the seed's block.  At eps = 1e-300, below the trials' direct
+        # residuals, no trial is committed, but each residual is in the
+        # shift's history: the one a looser eps accepts with the same trial.
+        Ad = np.diag(np.arange(1.0, 31.0))
+        Ad[:2, :2] = [[1.0, 2.0], [0.5, 3.0]]
+        A = FactorizedOperator.from_dense(Ad)
+        C = np.eye(30)[:, :2] @ np.array([[0.3, 1.0], [0.7, -0.2]])
+        with pytest.raises(NotConverged) as exc:
+            solve_shifted(ShiftedProblem(A, C, [0.1, 0.5], m=3, eps=1e-300))
+        tight = exc.value.state
+        assert tight.restart_count == 1 and not tight.converged.any() and not tight.X.any()
+        loose = solve_shifted(ShiftedProblem(A, C, [0.1, 0.5], m=3, eps=1e-12))
+        assert tight.residual_history == loose.residual_history
+        for k, sigma in enumerate(loose.shifts):
+            [res] = tight.residual_history[k]
+            assert 0.0 < res <= 1e-15 and abs(res - residual_direct(A, C, sigma, loose.X[k])) <= 1e-15
+
+    @pytest.mark.parametrize("C", [np.ones((5, 2)), np.zeros((5, 2))], ids=["ones", "zeros"])
+    def test_rank_deficient_c_on_a_too_small_operator_is_breakdown(self, C):
+        # n = 5 < (2m+1)p = 6, so the exact pass would start on the seed's
+        # block, but C has rank < 2: its pivoted LU breaks down at block 1.
+        A = FactorizedOperator.from_dense(np.diag(np.arange(1.0, 6.0)))
+        with pytest.raises(Breakdown) as exc:
+            solve_shifted(ShiftedProblem(A, C, [0.0, 1.0], m=1))
+        assert exc.value.step == 1 and exc.value.basis is None
+
     def test_breakdown_on_non_invariant_seed_is_reraised(self):
         # A^{-1}e3 stays in the span of [e1 + e2, e3], so block 2 breaks down
         # in one column only.  That span is not invariant, so both drivers
