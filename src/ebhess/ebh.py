@@ -46,7 +46,8 @@ class ExtendedBasis(BlockStore):
     ``store`` holds the 2m+1 basis blocks (fewer, with H cut to match, in a
     ``Breakdown.basis``); ``blocks`` and ``matrix()`` are read-only views of
     it (see :class:`BlockStore`).  ``pivot_sets[k]`` holds the p rows where
-    ``blocks[k]`` carries its unit lower triangle.  ``H`` is the (2m+1)p x 2mp
+    ``blocks[k]`` carries its unit lower triangle; it is exactly zero on every
+    earlier pivot set, so no two share a row.  ``H`` is the (2m+1)p x 2mp
     block upper Hessenberg array of recursion coefficients: its p-by-p block
     (i, c), 0-based, is the coefficient of ``blocks[i]`` for the candidate from
     ``blocks[c-1]`` (V for c = 0), so column block 0 is [gamma12; gamma22];
@@ -153,10 +154,11 @@ def ebha_run(A, V, m, _helper=None):
         When a candidate block has a NaN or inf entry; the message names it.
     """
     V, n, p = start_block(A.n, V, m)
-    used = np.zeros(n, dtype=bool)
     store = np.empty((n, (2 * m + 1) * p), order="F")
     blocks = [store[:, k * p : (k + 1) * p] for k in range(2 * m + 1)]
     pivots, pivot_blocks = [], []
+    # The pivot rows so far in block order: pivots[k] at k*p:(k+1)*p.
+    rows_so_far = np.empty((2 * m + 1) * p, dtype=np.intp)
     H = np.zeros(((2 * m + 1) * p, 2 * m * p), order="F")
     trtrs, = sla.get_lapack_funcs(("trtrs",), (store,))
     gemm, = sla.get_blas_funcs(("gemm",), (store,))
@@ -175,10 +177,12 @@ def ebha_run(A, V, m, _helper=None):
         # Modified Gram-Schmidt order, block by block: H = L_i^{-1} W[p_i] with
         # L_i = V_i[p_i], then W -= V_i H in place.  One forward substitution over
         # all earlier blocks (classical order) loses ~1.5 digits of the identities.
+        # W[p_i] is then roundoff: exact zeros there outlive later gemms and getrf.
         for i in earlier:
             Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], lower=1, unitdiag=1)
             gemm(-1.0, blocks[i], Hc, beta=1.0, c=W, overwrite_c=1)
             Hcols[i * p : (i + 1) * p] = Hc
+        W[rows_so_far[earlier.start * p : earlier.stop * p], :] = 0.0
 
     def normalize(step, raw_scale=None):
         # Factor the candidate in place into basis block ``step``; return its upper factor.
@@ -196,11 +200,7 @@ def ebha_run(A, V, m, _helper=None):
             colmax <= BREAKDOWN_TOL * max(raw_scale, np.finfo(float).tiny)
         ).any():
             raise Breakdown(step)
-        if used[rows].any():
-            # A pivot landing on an already-used row means the candidate was
-            # numerically zero on every fresh row.
-            raise Breakdown(step, f"pivot rows collide at block {step}")
-        used[rows] = True
+        rows_so_far[(step - 1) * p : step * p] = rows
         pivots.append(rows)
         # The p x p pivot block is unit lower triangular by construction.
         pivot_blocks.append(np.asfortranarray(blocks[step - 1][rows, :]))
@@ -226,7 +226,7 @@ def ebha_run(A, V, m, _helper=None):
             project(store[:, (c + 1) * p : (c + 3) * p], Hpair, range(c + 1))
             Hpair[(c + 1) * p : (c + 2) * p, :p] = normalize(c + 2, scale)
             candidate_scale(c + 3, next_scale)
-            project(blocks[c + 2], Hpair[:, p:], (c + 1,))
+            project(blocks[c + 2], Hpair[:, p:], range(c + 1, c + 2))
             Hpair[(c + 2) * p : (c + 3) * p, p:] = normalize(c + 3, next_scale)
     except Breakdown as exc:
         kp = (exc.step - 1) * p

@@ -283,10 +283,10 @@ def solve_shifted(problem, observer=None):
                 else:
                     Yrec[k] = Ycyc[:, k * p : (k + 1) * p]
             if finish is not None:
-                # The exact pass commits a shift's lift to X only when its direct
-                # residual is below eps (so not NaN): nothing else may pollute X.
+                # The exact pass commits a shift's trial, in X[k]'s F order (A.apply may
+                # round by layout), only when its direct residual is below eps (not NaN).
                 for k, Y in Yrec.items():
-                    X_trial = state.X[k] + Vb @ Y
+                    X_trial = np.add(state.X[k], Vb @ Y, order="F")
                     res = residual_direct(A, C, sigmas[k], X_trial)
                     state.residual_history[k].append(res)
                     if res < problem.eps:

@@ -50,6 +50,26 @@ class TestMatfunCommand:
             out2, {"time_s", "time_mean_s"}
         )
 
+    def test_repeat_times_every_call(self, tmp_path, monkeypatch):
+        # --repeat 2 calls each driver twice per row; the row keeps the
+        # first call's error, the same as at --repeat 1.
+        calls = []
+        for name in ("mf_ebh", "mf_eba"):
+            def counted(*args, _driver=getattr(cli, name), **kwargs):
+                calls.append(_driver)
+                return _driver(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        args = ["matfun", "--gallery", "rot2", "--n", "40", "--p", "2", "--m", "2,3",
+                "--funcs", "exp", "--seed", "7"]
+        once, twice = str(tmp_path / "1.csv"), str(tmp_path / "2.csv")
+        assert main(args + ["--repeat", "1", "--out", once]) == 0
+        assert len(calls) == 4
+        assert main(args + ["--repeat", "2", "--out", twice]) == 0
+        assert len(calls) == 4 + 8
+        _, _, rows = _read_csv(twice)
+        assert all(r[-1] == "ok" and float(r[3]) > 0 and float(r[4]) > 0 for r in rows)
+        assert [r[5] for r in rows] == [r[5] for r in _read_csv(once)[2]]
+
     def test_empty_function_list_gives_header_only(self, tmp_path):
         out = str(tmp_path / "empty.csv")
         rc = main(
@@ -171,6 +191,16 @@ class TestShiftedCommand:
         assert int(row[3]) == state.restart_count
         assert float(row[6]) == pytest.approx(max(h[-1] for h in state.residual_history))
         assert float(row[7]) <= 2e-8
+
+    def test_typed_error_row_has_only_its_status(self, tmp_path):
+        # (2m+1)p = 35 > n = 10 and the seed's span is not invariant: the
+        # solve raises DimensionMismatch, and the row names it with every
+        # numeric column empty.
+        out = str(tmp_path / "e.csv")
+        assert main(["shifted", "--gallery", "tridiag", "--n", "10", "--p", "5", "--m", "3",
+                     "--shifts", "0:5:4", "--repeat", "1", "--out", out]) == 0
+        _, _, rows = _read_csv(out)
+        assert rows == [["tridiag", "10", "3", "", "", "", "", "", "DimensionMismatch"]]
 
     def test_zero_shifts_bad_config(self, tmp_path, capsys):
         rc = main(

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from ebhess import (
     FactorizedOperator,
     FunctionSpec,
+    ShiftedProblem,
     build_S,
     build_T,
     build_T_direct,
@@ -19,7 +20,10 @@ from ebhess import (
     left_apply,
     mf_ebh,
     pivot_block_solve,
+    residual_direct,
+    solve_shifted,
 )
+from ebhess.approx import exact_dense
 from ebhess.dense import _plu_in_place
 from ebhess.ebh import ExtendedBasis, projection_gap
 from ebhess.errors import Breakdown, DimensionMismatch, Overflow, SingularCoefficient
@@ -65,7 +69,9 @@ def reference_ebha(A, V, m):
     append(V1, p1)
     AinvV = A.solve(V)
     g12 = pivot_block_solve(V1, p1, AinvV)
-    V2, g22, p2 = reference_plu(AinvV - V1 @ g12)
+    W = AinvV - V1 @ g12
+    W[p1] = 0.0
+    V2, g22, p2 = reference_plu(W)
     append(V2, p2)
     gammas = g11, g12, g22
 
@@ -74,6 +80,7 @@ def reference_ebha(A, V, m):
             Hc = pivot_block_solve(blocks[i - 1], pivots[i - 1], W)
             W = W - blocks[i - 1] @ Hc
             H[(i, col)] = Hc
+        W[np.concatenate(pivots[:upto])] = 0.0
         return W
 
     for j in range(1, m + 1):
@@ -104,6 +111,7 @@ def per_candidate_ebha(A, V, m):
             Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], lower=1, unitdiag=1)
             gemm(-1.0, blocks[i], Hc, beta=1.0, c=W, overwrite_c=1)
             Hcol[i * p : (i + 1) * p] = Hc
+        W[np.concatenate(pivots)] = 0.0
         Hcol[(col + 1) * p : (col + 2) * p], rows, _ = _plu_in_place(W)
         pivots.append(rows)
         pivot_blocks.append(np.asfortranarray(W[rows, :]))
@@ -225,6 +233,22 @@ class TestEbhaRun:
         with pytest.raises(Breakdown) as exc:
             ebha_run(A, np.hstack([C, C]), 2)
         assert exc.value.step == 1 and exc.value.basis is None
+
+    # Each of these runs used to break down on a pivot row picked twice, as the
+    # projection roundoff left on earlier pivot rows won getrf's search.
+    @pytest.mark.parametrize("make,seed", [(random_sparse_operator, s) for s in range(20)] + [
+        (spread_spectrum_operator, s) for s in (3, 4, 10, 14, 16, 18, 19, 22)])
+    def test_earlier_pivot_rows_are_exact_zeros(self, make, seed):
+        n, p, m, eps = 40, 2, 9, 1e-10
+        A, V = make(n, seed), np.random.default_rng(seed).random((n, p))
+        basis = ebha_run(A, V, m)
+        Vb = basis.matrix(2 * m)
+        assert not (left_apply(basis, Vb, 2 * m) - np.eye(2 * m * p)).any()
+        want = exact_dense(A.to_dense(), V, FunctionSpec.exp())
+        assert mf_ebh(A, V, m, FunctionSpec.exp(), reference=want).relative_error <= 1e-12
+        state = solve_shifted(ShiftedProblem(A, V, np.linspace(0, 5, 10), m=m, eps=eps))
+        for k, sigma in enumerate(state.shifts):
+            assert residual_direct(A, V, sigma, state.X[k]) <= eps
 
     def test_rank_deficient_start(self):
         A = random_sparse_operator(30, 1)

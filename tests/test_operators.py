@@ -346,7 +346,7 @@ class TestGallery:
         assert cond1 == pytest.approx(50.434, rel=1e-3)
 
     def test_mu2(self):
-        # n = 5000 is past the dense limit, so it takes the Lanczos route.
+        # rot2 is not banded, so both sizes take the Lanczos route.
         for n in (10, 5000):
             op = gallery(GallerySpec("rot2_blockdiag", size=n))
             a = (2.0 * np.arange(1, n // 2 + 1) - 1.0) / (n + 1.0)
@@ -358,9 +358,14 @@ class TestGallery:
         assert op.structure == "banded"
         assert op.mu2() == pytest.approx(want, rel=1e-12)
 
+    def test_mu2_of_a_1x1_operator(self):
+        # Lanczos needs n > 1, so a 1x1 operator takes the banded route.
+        op = FactorizedOperator.from_dense([[-2.5]])
+        assert op.structure == "dense" and op.mu2() == -2.5
+
     def test_mu2_power_iteration_fallback(self):
-        # the Lanczos route is only reached above the dense limit; exercise
-        # it directly against the dense eigensolver
+        # the Lanczos route against the dense eigensolver on a full
+        # symmetric matrix
         from ebhess.operators import _sym_lambda_max
 
         rng = np.random.default_rng(21)
