@@ -28,11 +28,6 @@ from .errors import (
 # routes mu2 to LAPACK's banded eigensolver (and lets the tridiagonal Laplacian
 # reference recognise them); they are factored by the sparse LU like the rest.
 _BAND_CUTOFF = 16
-# Below this size a wider-band sparse operator is factored as a dense LU, which
-# wins on random patterns (n = 1500, 8% filled: 0.11 s to build, not 0.66 s;
-# 2.7 ms per n x 5 solve, not 9.4 ms) and loses on stencils (convdiff_l2 grid
-# 44: 183 ms, not 6 ms; 4.6 ms, not 0.5 ms).  Accuracy is the same either way.
-_DENSE_FALLBACK_N = 2000
 _SINGULAR = "operator is singular to working precision"
 
 
@@ -57,9 +52,9 @@ class MatrixMarketFile:
 class FactorizedOperator:
     """Nonsingular operator exposing ``apply`` (A B) and ``solve`` (A^{-1} B).
 
-    Construct through one of the classmethods; the inverse strategy is chosen
-    from the structure: closed-form 2x2 block inverses, dense LU for wide-band
-    operators below n = 2000, sparse LU otherwise.  Each raises SingularOperator
+    Construct through one of the classmethods, each with its own inverse:
+    closed-form 2x2 block inverses (``from_rot2``), dense LU (``from_dense``)
+    and sparse LU, banded or not (``from_sparse``).  Each raises SingularOperator
     when :func:`ebhess.dense.singular` holds for its pivots or block moduli.
 
     ``apply`` and ``solve`` may run at the same time on two threads:
@@ -120,32 +115,27 @@ class FactorizedOperator:
     def from_dense(cls, M):
         """Dense LU of M; refused when :func:`ebhess.dense.singular` holds for its pivots."""
         M = _checked_matrix(np.asarray(M)).astype(float, copy=False)
-        return cls(M.shape[0], lambda B: M @ B, _dense_lu_solve(M),
+        factors = checked_lu(M, SingularOperator(_SINGULAR))
+        return cls(M.shape[0], lambda B: M @ B,
+                   lambda B: sla.lu_solve(factors, B, check_finite=False),
                    lambda: sp.csr_matrix(M), structure="dense")
 
     @classmethod
     def from_sparse(cls, S):
-        """Dense LU below n = 2000 unless banded, else SuperLU; refused as in from_dense."""
+        """SuperLU of S, marked "banded" or "sparse"; refused as in from_dense."""
         S = _checked_matrix(sp.csr_matrix(S)).astype(float)
-        n = S.shape[0]
-        banded = sum(_bandwidths(S)) <= _BAND_CUTOFF
-        if not banded and n < _DENSE_FALLBACK_N:
-            solve_fn = _dense_lu_solve(S.toarray())
-            structure = "sparse-dense-lu"
-        else:
-            from scipy.sparse.linalg import splu  # imported here: it adds ~10 ms to `import ebhess`
+        structure = "banded" if sum(_bandwidths(S)) <= _BAND_CUTOFF else "sparse"
+        from scipy.sparse.linalg import splu  # imported here: it adds ~10 ms to `import ebhess`
 
-            try:
-                # Minimum degree on A + A^T leaves about 40% less fill than
-                # the default COLAMD on the 2-D stencils; pivoting stays partial.
-                factor = splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:  # an exactly zero pivot, singular by the rule too
-                raise SingularOperator(_SINGULAR) from exc
-            if singular(factor.U.diagonal()):
-                raise SingularOperator(_SINGULAR)
-            solve_fn = factor.solve
-            structure = "banded" if banded else "sparse"
-        return cls(n, lambda B: S @ B, solve_fn, lambda: S, structure=structure)
+        try:
+            # Minimum degree on A + A^T leaves about 40% less fill than the
+            # default COLAMD on the 2-D stencils; pivoting stays partial.
+            factor = splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # an exactly zero pivot, singular by the rule too
+            raise SingularOperator(_SINGULAR) from exc
+        if singular(factor.U.diagonal()):
+            raise SingularOperator(_SINGULAR)
+        return cls(S.shape[0], lambda B: S @ B, factor.solve, lambda: S, structure=structure)
 
     @classmethod
     def from_rot2(cls, a, c):
@@ -202,11 +192,6 @@ def _checked_matrix(M):
     if not np.isfinite(M.data if sp.issparse(M) else M).all():
         raise SingularOperator("operator has non-finite entries")
     return M
-
-
-def _dense_lu_solve(M):
-    factors = checked_lu(M, SingularOperator(_SINGULAR))
-    return lambda B: sla.lu_solve(factors, B, check_finite=False)
 
 
 def _bandwidths(S):

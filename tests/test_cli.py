@@ -275,6 +275,12 @@ class TestFlopsCommand:
         assert float(row[4]) != float(row[5])
         assert any("differ" in c for c in comments)
 
+    def test_report_without_out_goes_to_stdout(self, capsys):
+        assert main(["flops", "--n", "5000", "--p", "5", "--m", "10", "--nnz", "24995"]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert lines[0] == "n,p,m,nnz,summed,closed_form"
+        assert len(lines) == 2 and lines[1].startswith("5000,5,10,24995,")
+
 
 class TestConfigFile:
     def test_file_provides_defaults_flags_win(self, tmp_path):

@@ -16,6 +16,7 @@ from ebhess import (
 from ebhess.errors import (
     BadDimension,
     DimensionMismatch,
+    NoConvergence,
     ParseError,
     SingularOperator,
     UnknownGallery,
@@ -156,6 +157,12 @@ def test_empty_operator_is_dimension_mismatch(make):
         make()
 
 
+def test_all_zero_pattern_is_singular():
+    # No stored entry: both bandwidths are 0, then SuperLU meets a zero pivot.
+    with pytest.raises(SingularOperator, match="singular to working precision"):
+        FactorizedOperator.from_sparse(sp.csr_matrix((4, 4)))
+
+
 def _with_last_pivot(scale, N=40):
     # N unit pivots but the last, which sits at scale times the singularity
     # threshold eps * N * max|d| of ebhess.dense.singular.
@@ -183,7 +190,7 @@ class TestSingularityBoundary:
 
     BRANCHES = {
         "dense": lambda d: FactorizedOperator.from_dense(_dense_far_entry(d)),
-        "sparse-dense-lu": lambda d: FactorizedOperator.from_sparse(_dense_far_entry(d)),
+        "sparse": lambda d: FactorizedOperator.from_sparse(_dense_far_entry(d)),
         "banded": lambda d: FactorizedOperator.from_sparse(sp.diags(d, format="csr")),
         "rot2": _rot2_moduli,
     }
@@ -204,7 +211,7 @@ class TestSingularityBoundary:
 class TestNonFiniteEntries:
     @pytest.mark.parametrize("make", [
         FactorizedOperator.from_dense,
-        lambda M: FactorizedOperator.from_sparse(sp.csr_matrix(M)),  # dense-LU branch
+        lambda M: FactorizedOperator.from_sparse(sp.csr_matrix(M)),  # a full pattern, for SuperLU
     ], ids=["from_dense", "from_sparse"])
     def test_non_finite_entry_is_singular_operator(self, make):
         M = np.random.default_rng(0).random((30, 30)) + 30 * np.eye(30)
@@ -232,10 +239,10 @@ class TestNonFiniteEntries:
 
     @pytest.mark.parametrize("make, structure", [
         (lambda: FactorizedOperator.from_dense(np.eye(30) * 2.0 + 0.01), "dense"),
-        (lambda: random_sparse_operator(30, 1), "sparse-dense-lu"),
+        (lambda: random_sparse_operator(30, 1), "sparse"),
         (lambda: gallery(GallerySpec("tridiag_scaled", 30)), "banded"),
         (lambda: gallery(GallerySpec("rot2_blockdiag", 30)), "rot2"),
-    ], ids=["dense", "sparse-dense-lu", "superlu", "rot2"])
+    ], ids=["dense", "sparse", "banded", "rot2"])
     def test_solve_of_a_non_finite_block_is_non_finite(self, make, structure):
         # Every branch returns NaN or inf in the bad column, as every apply
         # does, and no error: the drivers' candidate rule names the block.
@@ -362,6 +369,15 @@ class TestGallery:
         # Lanczos needs n > 1, so a 1x1 operator takes the banded route.
         op = FactorizedOperator.from_dense([[-2.5]])
         assert op.structure == "dense" and op.mu2() == -2.5
+
+    def test_mu2_lanczos_no_convergence_is_typed(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        op = gallery(GallerySpec("rot2_blockdiag", size=10))
+        with pytest.raises(NoConvergence, match="lambda_max of the symmetric part"):
+            op.mu2()
 
     def test_mu2_power_iteration_fallback(self):
         # the Lanczos route against the dense eigensolver on a full
