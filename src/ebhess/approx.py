@@ -64,8 +64,8 @@ def mf_ebh(A, V, m, spec, *, reference=None):
         basis, T = exc.basis, invariant_projection(A, exc.basis, exc)
     else:
         T = build_T(basis).T
-    F = funm(spec, T)
-    app = basis.matrix(len(T) // basis.p) @ (F[:, : basis.p] @ basis.gamma11)
+    F = funm(spec, T, columns=basis.p)
+    app = basis.matrix(len(T) // basis.p) @ (F @ basis.gamma11)
     return _finish(app, m, reference, t0)
 
 
@@ -74,8 +74,8 @@ def mf_eba(A, V, m, spec, *, reference=None):
     :func:`ebh.start_block` raises :class:`DimensionMismatch` or :class:`Overflow`."""
     t0 = time.perf_counter()
     basis = eba_run(A, V, m)
-    F = funm(spec, basis.T_arnoldi)
-    app = basis.matrix(2 * m) @ (F[:, : basis.p] @ basis.lambda11)
+    F = funm(spec, basis.T_arnoldi, columns=basis.p)
+    app = basis.matrix(2 * m) @ (F @ basis.lambda11)
     return _finish(app, m, reference, t0)
 
 

@@ -12,6 +12,7 @@ check their operands in Python first, as ctypes passes bare pointers.
 import ctypes
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -98,24 +99,31 @@ def _plu_in_place(lu):
     if not np.isfinite(colmax).all():
         raise Overflow("matrix contains non-finite entries")
     # getrf overwrites lu (exact zero pivots, info > 0, fail the pivot test).
-    piv = sla.lapack.dgetrf(lu, overwrite_a=1)[1]
+    piv = sla.lapack.dgetrf(lu, 1)[1]  # overwrite_a=1
     bad = np.abs(lu.diagonal()) <= BREAKDOWN_TOL * np.maximum(colmax, _TINY)
     if bad.any():
         raise RankDeficient(int(np.argmax(bad)))
-    top, r = lu[:p], np.arange(p)
-    upper = r[:, None] <= r
+    upper, eye = _unit_upper(p)
+    top = lu[:p]
     U = np.where(upper, top, 0.0)
-    top[upper] = 0.0
-    top[r, r] = 1.0
+    np.copyto(top, eye, where=upper)
     # getrf's piv is a sequence of row swaps; undoing them, last first, puts
     # each row of the lower factor back in the input's row order.  Replaying
     # them gives, for each elimination position k, the input row perm[k]
     # that ended up there.
-    sla.lapack.dlaswp(lu, piv, inc=-1, overwrite_a=1)
+    sla.lapack.dlaswp(lu, piv, 0, p - 1, 0, -1, 1)  # k1, k2, off, inc=-1, overwrite_a=1
     perm = {}
     for i, j in enumerate(piv):
         perm[i], perm[j] = perm.get(j, j), perm.get(i, i)
-    return U, np.array([perm[k] for k in r]), colmax
+    return U, np.array([perm[k] for k in range(p)]), colmax
+
+
+@lru_cache(maxsize=None)
+def _unit_upper(p):
+    # The p x p upper-triangle mask and identity of _plu_in_place, made once per p.
+    upper, eye = np.triu(np.ones((p, p), dtype=bool)), np.eye(p)
+    upper.flags.writeable = eye.flags.writeable = False
+    return upper, eye
 
 
 def _leading_dim(M, routine):

@@ -140,8 +140,9 @@ def ebha_run(A, V, m, _helper=None):
     The caller waits for it before projecting the pair or raising, so the
     checks come in the same order and the basis has the same bits.
 
-    Memory: the n x (2m+1)p store plus O(np) working memory; each candidate
-    block is projected and factored in its own slot of the store.
+    Memory: the n x (2m+1)p store plus O(np) working memory.  The operator
+    writes each candidate block into its own slot of the store (``apply`` and
+    ``solve`` with ``out=``), where it is projected and factored.
 
     Raises
     ------
@@ -163,15 +164,14 @@ def ebha_run(A, V, m, _helper=None):
     trtrs, = sla.get_lapack_funcs(("trtrs",), (store,))
     gemm, = sla.get_blas_funcs(("gemm",), (store,))
 
-    def load(step, raw):
-        # Copy a raw candidate into its slot; return its scale max|raw|,
-        # non-finite when raw has a NaN or inf entry.
-        blocks[step - 1][...] = raw
-        return column_max(blocks[step - 1]).max()
+    def form(action, B, step):
+        # A V or A^{-1} V written by the operator into the slot of block ``step``;
+        # returns its scale max|slot|, non-finite when it has a NaN or inf entry.
+        return column_max(action(B, out=blocks[step - 1])).max()
 
     def apply_candidate(c):
         # Form A V_{c+1} in the slot of V_{c+3}; may run on the helper thread.
-        return load(c + 3, A.apply(blocks[c]))
+        return form(A.apply, blocks[c], c + 3)
 
     def project(W, Hcols, earlier):
         # Modified Gram-Schmidt order, block by block: H = L_i^{-1} W[p_i] with
@@ -180,8 +180,10 @@ def ebha_run(A, V, m, _helper=None):
         # is no faster on the benchmark, and the tests' bit oracles pin this order.
         # W[p_i] is then roundoff: exact zeros there outlive later gemms and getrf.
         for i in earlier:
-            Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], lower=1, unitdiag=1)
-            gemm(-1.0, blocks[i], Hc, beta=1.0, c=W, overwrite_c=1)
+            # Positional arguments: lower=1, trans=0, unitdiag=1; beta=1.0, c=W,
+            # trans_a=trans_b=0, overwrite_c=1.
+            Hc, _ = trtrs(pivot_blocks[i], W[pivots[i], :], 1, 0, 1)
+            gemm(-1.0, blocks[i], Hc, 1.0, W, 0, 0, 1)
             Hcols[i * p : (i + 1) * p] = Hc
         W[rows_so_far[earlier.start * p : earlier.stop * p], :] = 0.0
 
@@ -218,7 +220,7 @@ def ebha_run(A, V, m, _helper=None):
         for c in range(0, 2 * m, 2):
             later = _helper.submit(apply_candidate, c) if _helper else None
             try:
-                scale = candidate_scale(c + 2, load(c + 2, A.solve(blocks[c - 1] if c else V)))
+                scale = candidate_scale(c + 2, form(A.solve, blocks[c - 1] if c else V, c + 2))
             finally:
                 if later:
                     wait((later,))  # it writes into the store: never leave it running

@@ -166,7 +166,7 @@ def _funm_eig(fn, M, what):
     return F.real if np.isrealobj(M) else F
 
 
-def funm(spec, M):
+def funm(spec, M, columns=None):
     """Evaluate f(M) for a :class:`FunctionSpec` on a small square matrix.
 
     One table entry per tag, no eigendecomposition except for custom
@@ -179,8 +179,16 @@ def funm(spec, M):
     or a pivot of any of the solves that :func:`dense.singular` rejects (a
     pole on the spectrum) raises :class:`BranchCutViolation`; a NaN or inf
     entry of M raises :class:`Overflow`.
+
+    With ``columns`` = k, only the leading columns f(M)[:, :k] are returned,
+    all that the drivers' lift reads.  exp(-x)/x then solves for those alone,
+    column for column the bits of the full solve; the others slice f(M).
     """
-    return _FUNCTIONS[spec.tag][1](_square(M, "funm"), *spec.params)
+    M = _square(M, "funm")
+    if columns is not None and spec.tag == "expinvx":
+        return _exp_neg_over_x(M, columns)
+    F = _FUNCTIONS[spec.tag][1](M, *spec.params)
+    return F if columns is None else F[:, :columns]
 
 
 def spectral_values(spec, w):
@@ -204,9 +212,9 @@ def _inverse(M, pole_message):
     return sla.lu_solve(checked_lu(M, BranchCutViolation(pole_message)), np.eye(M.shape[0]))
 
 
-def _exp_neg_over_x(M):
+def _exp_neg_over_x(M, columns=None):
     factors = checked_lu(M, BranchCutViolation("funm(expinvx): eigenvalue at the pole 0"))
-    return _finite("funm(expinvx)", sla.lu_solve, factors, expm(-M))
+    return _finite("funm(expinvx)", sla.lu_solve, factors, expm(-M)[:, :columns])
 
 
 def _laurent_matrix(M, pairs):

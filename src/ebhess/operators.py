@@ -8,10 +8,12 @@ reused, which is what every driver in this package relies on.
 import numbers
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .dense import SMALL_DIM_LIMIT, as_block, checked_lu, singular
 from .errors import (
@@ -56,6 +58,7 @@ class FactorizedOperator:
     closed-form 2x2 block inverses (``from_rot2``), dense LU (``from_dense``)
     and sparse LU, banded or not (``from_sparse``).  Each raises SingularOperator
     when :func:`ebhess.dense.singular` holds for its pivots or block moduli.
+    The constructor takes one-argument functions B -> A B and B -> A^{-1} B.
 
     ``apply`` and ``solve`` may run at the same time on two threads:
     ``solve_shifted`` forms A V_c on a helper thread while it forms
@@ -68,23 +71,31 @@ class FactorizedOperator:
         self.n = _order(n)
         self.structure = structure
         self.rot2 = rot2  # (a, c) arrays for 2x2 block-diagonal operators
-        self._apply = apply_fn
-        self._solve = solve_fn
+        self._apply = _copying(apply_fn)
+        self._solve = _copying(solve_fn)
         self._sparse = sparse_fn
 
-    def _check(self, B):
+    def _check(self, B, out):
         B = as_block(B)
         if B.shape[0] != self.n:
             raise DimensionMismatch(f"operand has {B.shape[0]} rows, operator is {self.n}")
+        if out is not None and not (
+                isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == B.shape
+                and out.flags.writeable and not np.may_share_memory(out, B)):
+            raise DimensionMismatch(f"out must be a writable float64 {B.shape} array apart from B")
         return B
 
-    def apply(self, B):
-        """Forward product A @ B."""
-        return self._apply(self._check(B))
+    def apply(self, B, out=None):
+        """Forward product A @ B, written into ``out`` and returned when it is
+        given: a writable float64 array of B's shape ((n, 1) for a 1-D B) that
+        shares no memory with B, else :class:`DimensionMismatch`.  ``out`` gets
+        the bits the call without it returns."""
+        return self._apply(self._check(B, out), out)
 
-    def solve(self, B):
-        """Inverse action A^{-1} B using the precomputed factorization."""
-        return self._solve(self._check(B))
+    def solve(self, B, out=None):
+        """Inverse action A^{-1} B using the precomputed factorization; ``out``
+        as in :meth:`apply`."""
+        return self._solve(self._check(B, out), out)
 
     def to_sparse(self):
         """CSR view of the forward operator."""
@@ -135,7 +146,15 @@ class FactorizedOperator:
             raise SingularOperator(_SINGULAR) from exc
         if singular(factor.U.diagonal()):
             raise SingularOperator(_SINGULAR)
-        return cls(S.shape[0], lambda B: S @ B, factor.solve, lambda: S, structure=structure)
+        return cls._writing(S.shape[0], partial(_csr_product, S), _copying(factor.solve),
+                            lambda: S, structure)
+
+    @classmethod
+    def _writing(cls, n, apply_into, solve_into, sparse_fn, structure, rot2=None):
+        # An operator from functions (B, out) that write into out when it is given.
+        op = cls(n, None, None, sparse_fn, structure, rot2)
+        op._apply, op._solve = apply_into, solve_into
+        return op
 
     @classmethod
     def from_rot2(cls, a, c):
@@ -154,13 +173,20 @@ class FactorizedOperator:
         w_inv = 1.0 / w
 
         def scaled_by(z):
-            def fn(B):
-                out = np.array(B, dtype=float, order="F")
-                out.T.view(complex)[...] *= z
+            def fn(B, out):
+                # Into out where its rows have unit stride, else a new Fortran-ordered
+                # R: R.T.view(complex) is then k x n/2, as B's is where B's rows do.
+                R = out if out is not None and out.strides[0] == 8 else np.empty(B.shape, order="F")
+                if B.strides[0] == 8:
+                    np.multiply(B.T.view(complex), z, out=R.T.view(complex))
+                else:
+                    R[...] = B
+                    R.T.view(complex)[...] *= z
+                if out is None or out is R:
+                    return R
+                out[...] = R
                 return out
             return fn
-
-        apply_fn, solve_fn = scaled_by(w), scaled_by(w_inv)
 
         def sparse_fn():
             i = np.arange(n)
@@ -169,7 +195,28 @@ class FactorizedOperator:
             vals = np.concatenate([np.repeat(a, 2), np.full(n // 2, c), np.full(n // 2, -c)])
             return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
-        return cls(n, apply_fn, solve_fn, sparse_fn, structure="rot2", rot2=(a, c))
+        return cls._writing(n, scaled_by(w), scaled_by(w_inv), sparse_fn, "rot2", (a, c))
+
+
+def _copying(fn):
+    # fn(B) as a function (B, out): its result, copied into out when out is given.
+    def write(B, out):
+        if out is None:
+            return fn(B)
+        out[...] = fn(B)
+        return out
+    return write
+
+
+def _csr_product(S, B, out):
+    # S @ B, or with out, out[:, j] = S @ B[:, j] by scipy's CSR kernel, in place:
+    # it sums each row in the order S @ B does, from the same zero.
+    if out is None:
+        return S @ B
+    out[...] = 0.0
+    for j in range(B.shape[1]):
+        csr_matvec(S.shape[0], S.shape[1], S.indptr, S.indices, S.data, B[:, j], out[:, j])
+    return out
 
 
 def _order(n):

@@ -122,7 +122,8 @@ class TestMatfunCommand:
 
         curves = str(tmp_path / "c.dat")
         assert main(["curves"] + common + ["--m-max", "2", "--out", curves]) == 0
-        lines = [l.strip() for l in open(str(tmp_path / "c_exp.dat")) if l.startswith("# m=")]
+        lines = [l.strip() for l in (tmp_path / "c_exp.dat").read_text().splitlines()
+                 if l.startswith("# m=")]
         assert lines == ["# m=1 skipped: Overflow", "# m=2 skipped: Overflow"]
         assert (tmp_path / "c_sqrt.dat").exists()
 
@@ -221,7 +222,7 @@ class TestCurvesCommand:
         ) == 0
         for fn in ("sqrt", "log"):
             lines = [
-                l for l in open(str(tmp_path / f"c_{fn}.dat")) if not l.startswith("#")
+                l for l in (tmp_path / f"c_{fn}.dat").read_text().splitlines() if not l.startswith("#")
             ]
             series = [(int(a), float(b)) for a, b in (l.split() for l in lines)]
             assert len(series) >= 3
@@ -232,7 +233,7 @@ class TestCurvesCommand:
             ["curves", "--gallery", "toeplitz", "--n", "40", "--p", "2", "--m-max", "1",
              "--funcs", "exp", "--seed", "3", "--out", single]
         ) == 0
-        lines = [l for l in open(str(tmp_path / "one_exp.dat")) if not l.startswith("#")]
+        lines = [l for l in (tmp_path / "one_exp.dat").read_text().splitlines() if not l.startswith("#")]
         assert len(lines) == 1 and lines[0].split()[0] == "1"
 
     def test_matches_matfun_at_shared_m(self, tmp_path):
@@ -244,7 +245,8 @@ class TestCurvesCommand:
         assert main(["matfun"] + common + ["--m", "3", "--funcs", "exp", "--repeat", "1",
                                            "--methods", "ebh", "--out", table_out]) == 0
         curve_lines = [
-            l.split() for l in open(str(tmp_path / "cv_exp.dat")) if not l.startswith("#")
+            l.split() for l in (tmp_path / "cv_exp.dat").read_text().splitlines()
+            if not l.startswith("#")
         ]
         curve_err = dict((int(m), e) for m, e in curve_lines)
         _, _, rows = _read_csv(table_out)
@@ -257,7 +259,7 @@ class TestCurvesCommand:
         args = ["curves", "--gallery", "toeplitz", "--n", "40", "--p", "2", "--m-max", "1",
                 "--funcs", "exp", "--out", out]
         assert main(args) == 0
-        header = open(str(tmp_path / "c_exp.dat")).readline()
+        header = (tmp_path / "c_exp.dat").read_text().splitlines()[0]
         assert header.startswith("# command=curves") and "repeat=" not in header
         with pytest.raises(SystemExit) as exc:
             main(args + ["--repeat", "3"])

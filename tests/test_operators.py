@@ -147,6 +147,80 @@ class TestApplySolve:
             FactorizedOperator.from_rot2(np.array([0.0, 1.0]), 0.0)
 
 
+def _operator_of_kind(kind):
+    # A small operator of each kind; "functions" is built from one-argument functions.
+    if kind == "functions":
+        base = gallery(GallerySpec("convdiff_l1", 6))
+        return FactorizedOperator(base.n, lambda B: base.apply(B), lambda B: base.solve(B),
+                                  base.to_sparse, "functions")
+    name, size = {"rot2": ("rot2_blockdiag", 36), "dense": ("toeplitz_inv_dist", 36),
+                  "banded": ("tridiag_scaled", 36), "sparse": ("convdiff_l2", 9)}[kind]
+    A = gallery(GallerySpec(name, size))
+    assert A.structure == kind
+    return A
+
+
+def _bits(M):
+    return np.ascontiguousarray(M).tobytes()
+
+
+class TestOut:
+    """``apply`` and ``solve`` with ``out=``: the result written into out, with
+    the bits of the call without it, on every operator kind."""
+
+    KINDS = ["rot2", "dense", "banded", "sparse", "functions"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("action", ["apply", "solve"])
+    @pytest.mark.parametrize("case", ["C block into a slot", "slot into a slot", "C into C",
+                                      "1-D into a one-column slot"])
+    def test_out_gets_the_bits_of_the_call_without_it(self, kind, action, case):
+        A = _operator_of_kind(kind)
+        rng = np.random.default_rng(9)
+        n, p = A.n, 3
+        # A Fortran-ordered store of three p-column slots, as ebha_run keeps its basis.
+        store = np.asfortranarray(rng.standard_normal((n, 3 * p)))
+        B, cols = {
+            "C block into a slot": (rng.standard_normal((n, p)), slice(p, 2 * p)),
+            "slot into a slot": (store[:, :p], slice(2 * p, 3 * p)),
+            "C into C": (rng.standard_normal((n, p)), None),
+            "1-D into a one-column slot": (rng.standard_normal(n), slice(p, p + 1)),
+        }[case]
+        out = np.empty((n, p)) if cols is None else store[:, cols]
+        before = store.copy()
+        fn = getattr(A, action)
+        want = fn(B)
+        assert fn(B, out=out) is out
+        assert _bits(out) == _bits(want)
+        if cols is not None:
+            before[:, cols] = want
+            assert _bits(store) == _bits(before)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("action", ["apply", "solve"])
+    def test_a_wrong_out_is_dimension_mismatch(self, kind, action):
+        A = _operator_of_kind(kind)
+        n, p = A.n, 3
+        store = np.zeros((n, 3 * p), order="F")
+        B = store[:, :p]
+        read_only = np.zeros((n, p))
+        read_only.flags.writeable = False
+        wrong = {
+            "columns": np.zeros((n, p + 1)),
+            "rows": np.zeros((n + 2, p)),
+            "1-D": np.zeros(n * p),
+            "float32": np.zeros((n, p), dtype=np.float32),
+            "list": np.zeros((n, p)).tolist(),
+            "read-only": read_only,
+            "B itself": B,
+            "overlapping B": store[:, 1 : p + 1],
+        }
+        for name, out in wrong.items():
+            with pytest.raises(DimensionMismatch, match="out must be"):
+                getattr(A, action)(B, out=out)
+        assert not store.any()
+
+
 @pytest.mark.parametrize("make", [
     lambda: FactorizedOperator.from_dense(np.zeros((0, 0))),
     lambda: FactorizedOperator.from_sparse(sp.csr_matrix((0, 0))),
