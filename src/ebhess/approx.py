@@ -1,11 +1,15 @@
-"""Drivers approximating f(A)V through the projected small problem.
+"""Drivers approximating f(A)V through the projected small problem, and the
+exact references that score them.
 
 Both methods run their basis process, evaluate f on the projected matrix and
 lift the first block column back: approximation = basis * f(T)[:, :p] * Gamma11.
+They compute f(A)V and nothing else.  A caller that wants a call's time or
+error measures it around the call: the CLI times each call and scores one
+result with ``_relative_error`` against the references of ``_references``.
 """
 
-import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,12 +26,10 @@ _BOUND_GRID = 65
 
 @dataclass
 class ApproxResult:
-    """Approximation of f(A)V with diagnostics."""
+    """The approximation of f(A)V that a driver computed with m steps."""
 
     approximation: np.ndarray
     m: int
-    relative_error: float | None = None
-    wall_time: float = 0.0
 
 
 def _relative_error(app, reference):
@@ -44,20 +46,11 @@ def _relative_error(app, reference):
     return float(rel)
 
 
-def _finish(app, m, reference, t0):
-    # The clock stops before the scoring: wall_time is the method's cost.
-    wall = time.perf_counter() - t0
-    rel = None if reference is None else _relative_error(app, reference)
-    return ApproxResult(app, m, rel, wall)
-
-
-def mf_ebh(A, V, m, spec, *, reference=None):
+def mf_ebh(A, V, m, spec):
     """Approximate f(A)V with the pivoted extended block Hessenberg method.
 
     V must pass :func:`ebh.start_block`: :class:`DimensionMismatch` or :class:`Overflow` if not.
-    A breakdown on an A-invariant span finishes exactly there; others re-raise.
-    ``reference`` (the exact value, when affordable) fills ``relative_error``."""
-    t0 = time.perf_counter()
+    A breakdown on an A-invariant span finishes exactly there; others re-raise."""
     try:
         basis = ebha_run(A, V, m)
     except Breakdown as exc:
@@ -65,18 +58,15 @@ def mf_ebh(A, V, m, spec, *, reference=None):
     else:
         T = build_T(basis).T
     F = funm(spec, T, columns=basis.p)
-    app = basis.matrix(len(T) // basis.p) @ (F @ basis.gamma11)
-    return _finish(app, m, reference, t0)
+    return ApproxResult(basis.matrix(len(T) // basis.p) @ (F @ basis.gamma11), m)
 
 
-def mf_eba(A, V, m, spec, *, reference=None):
+def mf_eba(A, V, m, spec):
     """Approximate f(A)V with the extended block Arnoldi baseline; a V outside
     :func:`ebh.start_block` raises :class:`DimensionMismatch` or :class:`Overflow`."""
-    t0 = time.perf_counter()
     basis = eba_run(A, V, m)
     F = funm(spec, basis.T_arnoldi, columns=basis.p)
-    app = basis.matrix(2 * m) @ (F @ basis.lambda11)
-    return _finish(app, m, reference, t0)
+    return ApproxResult(basis.matrix(2 * m) @ (F @ basis.lambda11), m)
 
 
 def exact_dense(A_small, V, spec):
@@ -85,14 +75,20 @@ def exact_dense(A_small, V, spec):
     otherwise.  :class:`DimensionMismatch` above the limit, the errors of
     :func:`ebh.start_block` for V and those of :func:`spectral_values` or
     :func:`funm` for f; :class:`Overflow` for a non-finite entry of A or of the result."""
+    return _dense_references(A_small, V)(spec)
+
+
+def _dense_references(A_small, V):
+    # exact_dense for every spec: A_small's eigh and Q^T V are formed here, once.
     if len(A_small) > SMALL_DIM_LIMIT:
         raise DimensionMismatch(f"n={len(A_small)} exceeds the dense limit {SMALL_DIM_LIMIT}")
     V = start_block(len(A_small), V)[0]
     if not np.array_equal(A_small, A_small.T):
-        return _finite("exact_dense", np.matmul, funm(spec, A_small), V)
+        return lambda spec: _finite("exact_dense", np.matmul, funm(spec, A_small), V)
     w, Q = np.linalg.eigh(_square(A_small, "exact_dense"))
-    f = spectral_values(spec, w)
-    return _finite("exact_dense", lambda: Q @ (f[:, None] * (Q.T @ V)))
+    W = Q.T @ V
+    return lambda spec: _finite("exact_dense", lambda f: Q @ (f[:, None] * W),
+                                spectral_values(spec, w))
 
 
 def rot2_reference(A, V, spec):
@@ -142,11 +138,17 @@ def reference_matfun(A, V, spec):
     sine transforms for the scaled 1-D Laplacian, dense evaluation below the
     small-dimension limit, :class:`DimensionMismatch` otherwise.  A V outside
     :func:`ebh.start_block` raises :class:`DimensionMismatch` or :class:`Overflow`."""
+    return _references(A, V)(spec)
+
+
+def _references(A, V):
+    """spec -> :func:`reference_matfun` for one (A, V); the dense route densifies
+    and decomposes A here, once, and raises :class:`DimensionMismatch` here."""
     if A.rot2 is not None:
-        return rot2_reference(A, V, spec)
+        return partial(rot2_reference, A, V)
     if _is_scaled_laplacian(A):
-        return tridiag_reference(A, V, spec)
-    return exact_dense(A.to_dense(), V, spec)
+        return partial(tridiag_reference, A, V)
+    return _dense_references(A.to_dense(), V)
 
 
 def exp_error_bound(A, basis, proj):

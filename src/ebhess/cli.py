@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .approx import mf_eba, mf_ebh, reference_matfun
+from .approx import _references, _relative_error, mf_eba, mf_ebh
 from .errors import BadConfig, DimensionMismatch, EbhessError, NotConverged
 from .matfun import FunctionSpec
 from .operators import FactorizedOperator, GallerySpec, flop_estimate, gallery, read_matrix_market
@@ -108,25 +108,28 @@ def _problem(config):
     return A, np.random.default_rng(config.seed).random((A.n, config.p))
 
 
-def _reference(config, A, V, spec):
-    """Exact f(A)V and None, or None and the name of the error that stopped it
-    (say an overflowing exp), which then marks that function's output."""
-    try:  # approx.reference_matfun decides which exact reference applies
-        return reference_matfun(A, V, spec), None
+def _exact(config, A, V):
+    """spec -> exact f(A)V for the run's (A, V), built once; an operator with
+    no exact reference is a BadConfig (for matfun, naming --no-rel-err)."""
+    try:  # approx._references decides which exact reference applies
+        return _references(A, V)
     except DimensionMismatch as exc:
         hint = "; rerun with --no-rel-err" if config.command == "matfun" else ""
         raise BadConfig(f"n={A.n} too large for the dense reference{hint}") from exc
-    except EbhessError as exc:
-        return None, type(exc).__name__
 
 
-def _approximations(config, A, V):
+def _approximations(config, A, V, exact):
     """Yield (function, method, m, t_median, t_mean, rel_err, status) for each
-    function, method and m, each run timed over ``config.repeat`` calls; a
-    failed call or reference leaves the times and the error empty."""
+    function, method and m.  The clock runs around each of ``config.repeat``
+    driver calls alone; the last result (all have the same bits) is then scored
+    against ``exact(spec)``.  A typed error of the calls, the scoring or the
+    reference (say an overflowing exp) empties the row and names its status."""
     for fname in config.funcs:
         spec = FunctionSpec.from_name(fname)
-        reference, failed = _reference(config, A, V, spec) if config.rel_err else (None, None)
+        try:
+            reference, failed = exact(spec), None
+        except EbhessError as exc:
+            reference, failed = None, type(exc).__name__
         for method in config.methods:
             driver = mf_ebh if method == "ebh" else mf_eba
             for m in config.m_list:
@@ -134,21 +137,24 @@ def _approximations(config, A, V):
                     yield fname, method.upper(), m, None, None, None, failed
                     continue
                 try:
-                    result = driver(A, V, m, spec, reference=reference)
-                    times = [result.wall_time] + [
-                        driver(A, V, m, spec, reference=reference).wall_time
-                        for _ in range(config.repeat - 1)
-                    ]
+                    times = []
+                    for _ in range(config.repeat):
+                        t0 = time.perf_counter()
+                        app = driver(A, V, m, spec).approximation
+                        times.append(time.perf_counter() - t0)
+                    rel = None if reference is None else _relative_error(app, reference)
                 except EbhessError as exc:
                     yield fname, method.upper(), m, None, None, None, type(exc).__name__
                     continue
                 yield (fname, method.upper(), m, statistics.median(times),
-                       statistics.fmean(times), result.relative_error, "ok")
+                       statistics.fmean(times), rel, "ok")
 
 
 def run_matfun_table(config):
     """Approximation table: one row per (function, method, m)."""
-    rows = list(_approximations(config, *_problem(config)))
+    A, V = _problem(config)
+    exact = _exact(config, A, V) if config.rel_err else lambda spec: None
+    rows = list(_approximations(config, A, V, exact))
     header = ["function", "method", "m", "time_s", "time_mean_s", "rel_err", "status"]
     _write_csv(config.out, config, header, rows)
     return rows
@@ -195,16 +201,17 @@ def run_curves(config):
     ``ebh`` rows of the matfun loop at m = 1..m_max, with one repeat and
     always a reference. ``--out fig1.dat`` names them ``fig1_<function>.dat``."""
     A, V = _problem(config)
+    exact = _exact(config, A, V)
     stem, ext = os.path.splitext(config.out)
     paths = []
     for fname in config.funcs:
-        sweep = replace(config, funcs=(fname,), methods=("ebh",), rel_err=True, repeat=1,
+        sweep = replace(config, funcs=(fname,), methods=("ebh",), repeat=1,
                         m_list=range(1, config.m_max + 1))
         # Small-m projections can land on branch cuts or break down; such an
         # m is a comment line and the rest of the series is kept.
         lines = [f"# {config.echo()}", f"# function={fname} columns: m relative_error"]
         lines += [f"{m} {_fmt(err)}" if status == "ok" else f"# m={m} skipped: {status}"
-                  for _, _, m, _, _, err, status in _approximations(sweep, A, V)]
+                  for _, _, m, _, _, err, status in _approximations(sweep, A, V, exact)]
         path = f"{stem}_{fname}{ext}"
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")

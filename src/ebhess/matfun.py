@@ -140,8 +140,22 @@ def sqrtm(M):
 
 
 def logm(M):
-    """Principal matrix logarithm by scipy's inverse scaling and squaring."""
-    return _principal(sla.logm, M, "logm")
+    """Principal matrix logarithm by scipy's inverse scaling and squaring.
+
+    scipy's 1-norm estimates draw from numpy's global legacy RNG, so the call
+    seeds that RNG and gives the caller's state back on every exit: one M
+    gives one result.  Another thread that draws from the legacy stream
+    during the call may see it perturbed."""
+    return _principal(_seeded_logm, M, "logm")
+
+
+def _seeded_logm(M):
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return sla.logm(M)
+    finally:
+        np.random.set_state(state)
 
 
 def _principal(kernel, M, what):

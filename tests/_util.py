@@ -7,6 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from ebhess import FactorizedOperator
+from ebhess.approx import _relative_error
 
 
 def random_sparse_operator(n, seed, density=0.08):
@@ -61,6 +62,11 @@ def nan_operator(n, seed, broken):
     """A random sparse operator whose ``broken`` action ("apply" or "solve")
     returns all-NaN blocks."""
     return nan_after(random_sparse_operator(n, seed), broken, 0)
+
+
+def relative_error(result, reference):
+    """A driver result's error against the exact value, as the CLI scores it."""
+    return _relative_error(result.approximation, reference)
 
 
 def random_block(n, p, seed):

@@ -23,7 +23,7 @@ def test_readme_quick_tour_runs():
     code = text.split("```python\n", 1)[1].split("```", 1)[0]
     scope = {}
     exec(compile(code, "README.md", "exec"), scope)
-    assert scope["res"].relative_error <= 1e-9
+    assert scope["err"] <= 1e-9
     assert scope["state"].converged.all()
 
 

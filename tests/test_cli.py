@@ -1,11 +1,22 @@
 import argparse
+import time
 
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from ebhess import GallerySpec, ShiftedProblem, gallery, residual_direct, solve_shifted
+from ebhess import (
+    FunctionSpec,
+    GallerySpec,
+    ShiftedProblem,
+    gallery,
+    mf_eba,
+    mf_ebh,
+    reference_matfun,
+    residual_direct,
+    solve_shifted,
+)
 from ebhess.cli import build_parser, main
 from ebhess import cli
 from ebhess.errors import BadConfig, ReducedSystemSingular
@@ -69,6 +80,49 @@ class TestMatfunCommand:
         _, _, rows = _read_csv(twice)
         assert all(r[-1] == "ok" and float(r[3]) > 0 and float(r[4]) > 0 for r in rows)
         assert [r[5] for r in rows] == [r[5] for r in _read_csv(once)[2]]
+
+    def test_time_columns_exclude_the_scoring(self, tmp_path, monkeypatch):
+        # The clock runs around each driver call only: a scoring that sleeps
+        # 0.2 s shows in no time column, and the row's error is the scoring
+        # of the driver's output.
+        scoring = cli._relative_error
+
+        def slow(app, reference):
+            time.sleep(0.2)
+            return scoring(app, reference)
+
+        monkeypatch.setattr(cli, "_relative_error", slow)
+        out = str(tmp_path / "t.csv")
+        assert main(["matfun", "--gallery", "rot2", "--n", "60", "--p", "2", "--m", "4",
+                     "--funcs", "exp", "--seed", "3", "--repeat", "2", "--out", out]) == 0
+        _, _, rows = _read_csv(out)
+        A = gallery(GallerySpec("rot2_blockdiag", 60))
+        V = np.random.default_rng(3).random((60, 2))
+        spec = FunctionSpec.exp()
+        exact = reference_matfun(A, V, spec)
+        for row, driver in zip(rows, (mf_ebh, mf_eba)):
+            res = driver(A, V, 4, spec)
+            assert res.m == 4
+            assert row[-1] == "ok" and float(row[3]) < 0.2 and float(row[4]) < 0.2
+            assert row[5] == cli._fmt(scoring(res.approximation, exact))
+
+    def test_one_decomposition_per_run(self, tmp_path, monkeypatch):
+        # The symmetric Toeplitz reference decomposes A once per run, whatever
+        # the number of functions, in matfun and in curves.
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        common = ["--gallery", "toeplitz", "--n", "60", "--p", "2", "--funcs", "exp,sqrt,log"]
+        assert main(["matfun"] + common + ["--m", "3,4", "--repeat", "1",
+                                           "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(calls) == 1
+        assert main(["curves"] + common + ["--m-max", "3", "--out", str(tmp_path / "c.dat")]) == 0
+        assert len(calls) == 2
 
     def test_empty_function_list_gives_header_only(self, tmp_path):
         out = str(tmp_path / "empty.csv")

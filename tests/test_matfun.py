@@ -5,7 +5,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ebhess import matfun
-from ebhess import FactorizedOperator, FunctionSpec, expm, funm, laurent_apply, logm, sqrtm
+from ebhess import (
+    FactorizedOperator,
+    FunctionSpec,
+    GallerySpec,
+    build_T,
+    ebha_run,
+    expm,
+    funm,
+    gallery,
+    laurent_apply,
+    logm,
+    sqrtm,
+)
 from ebhess.errors import BranchCutViolation, IllConditionedEigenbasis, Overflow
 from ebhess.errors import BadConfig, DimensionMismatch
 
@@ -119,6 +131,37 @@ class TestSqrtmLogm:
         assert calls == ["logm", "sqrtm"]
         funm(FunctionSpec.exp_neg_sqrt(), np.diag([4.0, 9.0]))
         assert calls == ["logm", "sqrtm", "sqrtm"]
+
+    @staticmethod
+    def _legacy_state():
+        state = np.random.get_state()
+        return state[:1] + (state[1].tobytes(),) + state[2:]
+
+    def test_logm_gives_one_result_and_keeps_the_callers_rng(self):
+        # scipy's 1-norm estimates draw from numpy's legacy RNG; on this
+        # projected matrix (rot2 n = 5000, p = 5, m = 15) unseeded calls from
+        # the caller states 0 and 1 differed in their last bits.
+        A = gallery(GallerySpec("rot2_blockdiag", 5000))
+        T = build_T(ebha_run(A, np.random.default_rng(7).random((5000, 5)), 15)).T
+        results = set()
+        for seed in range(4):
+            np.random.seed(seed)
+            before = self._legacy_state()
+            results.add(logm(T).tobytes())
+            assert self._legacy_state() == before
+        assert len(results) == 1
+
+    def test_logm_restores_the_callers_rng_when_scipy_raises(self, monkeypatch):
+        def draws_then_raises(M):
+            np.random.standard_normal(3)
+            raise ValueError("kernel failed")
+
+        monkeypatch.setattr(matfun.sla, "logm", draws_then_raises)
+        np.random.seed(5)
+        before = self._legacy_state()
+        with pytest.raises(ValueError, match="kernel failed"):
+            logm(np.diag([4.0, 9.0]))
+        assert self._legacy_state() == before
 
 
 # One spec per FunctionSpec tag, and a Laurent polynomial of each sign.
